@@ -13,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import EigensolverError
+
 
 DEFAULT_NORM_SEED = 7
 
@@ -258,8 +260,9 @@ class ProjectorFromBasis:
 def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
-    Lanczos on the Gram operator op^dag op; falls back to randomized power
-    probes when ARPACK cannot converge (exactly-zero operators).
+    Lanczos on the Gram operator op^dag op.  Raises EigensolverError when
+    ARPACK does not converge: the norm is used as an upper bound, and no
+    cheaper estimate is one.
     """
     n = op.shape[1]
     if n <= 32:
@@ -282,17 +285,6 @@ def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float
             G, k=1, which="LA", v0=v0, tol=tol,
             maxiter=max(2000, 20 * n), return_eigenvectors=False,
         )
-        return float(np.sqrt(max(float(vals[-1]), 0.0)))
-    except Exception:
-        pass
-    # power iteration fallback
-    v = v0 / np.linalg.norm(v0)
-    lam = 0.0
-    for _ in range(200):
-        w = gram(v)
-        lam = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            return 0.0
-        v = w / nw
-    return float(np.sqrt(max(lam, 0.0)))
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"eigensolver failed on an operator norm: {exc}") from exc
+    return float(np.sqrt(max(float(vals[-1]), 0.0)))

@@ -21,6 +21,8 @@ from .lattice import (
     split_pairs,
 )
 from .operators import (
+    DENSE_CAP,
+    SpectralData,
     embedded_kernel_projector,
     hamiltonian,
     kernel_basis,
@@ -38,17 +40,28 @@ def recursion_step(gap_F: float, delta: float, s: float) -> float:
 
 
 def pair_overlap_norm(
-    phi: Interaction, pair: SplitPair, seed: int = 7
+    phi: Interaction,
+    pair: SplitPair,
+    seed: int = 7,
+    dense_cap: int = DENSE_CAP,
+    region_solve: SpectralData | None = None,
 ) -> float:
-    """|| P_A P_B - P_{A u B} || for one split pair, matrix-free."""
+    """|| P_A P_B - P_{A u B} || for one split pair, matrix-free.
+
+    region_solve is the solve of the projector-form Hamiltonian on pair.Y
+    with its kernel basis, when the caller already has it.
+    """
     region = make_region(pair.Y)
     phi_proj = reduce_to_projectors(
         Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
     )
     dim = phi.d ** len(region)
-    P_A = embedded_kernel_projector(phi_proj, pair.A, region, phi.d)
-    P_B = embedded_kernel_projector(phi_proj, pair.B, region, phi.d)
-    V = kernel_basis(hamiltonian(phi_proj, region))
+    P_A = embedded_kernel_projector(phi_proj, pair.A, region, phi.d, dense_cap=dense_cap)
+    P_B = embedded_kernel_projector(phi_proj, pair.B, region, phi.d, dense_cap=dense_cap)
+    if region_solve is None:
+        V = kernel_basis(hamiltonian(phi_proj, region), dense_cap=dense_cap)
+    else:
+        V = region_solve.kernel()
     diff = LinearCombination(
         [OperatorChain([P_A, P_B], dim), ProjectorFromBasis(V, dim)],
         [1.0, -1.0],
@@ -91,14 +104,16 @@ def measure_delta_k(
     max_pairs: int | None = None,
     seed: int = 7,
     axis_perms: bool = False,
+    dense_cap: int = DENSE_CAP,
 ) -> DeltaMeasurement:
     """Measure delta_k = max over split pairs of || P_A P_B - P_{A u B} ||.
 
     Pairs come from slab splits of every scale-k window materialized on the
     graph that does not already fit at scale k-1.  The `t` argument is
     informational (reports reuse it); the overlap norms themselves do not
-    depend on the coarse-graining.  When max_pairs truncates the family the
-    result is flagged as a sampled lower estimate of the sup.
+    depend on the coarse-graining.  When max_pairs truncates the family, or
+    a window is skipped by dim_cap or a failed split, the result is flagged
+    as a sampled lower estimate of the sup (exhaustive=False).
     """
     del t  # recorded by callers in reports; not needed for the sup itself
     values: list[float] = []
@@ -121,7 +136,9 @@ def measure_delta_k(
             continue
         regions += 1
         max_size = max(max_size, len(Y))
-        sd = spectral_data(hamiltonian(phi, Y, projector_form=True))
+        sd = spectral_data(
+            hamiltonian(phi, Y, projector_form=True), dense_cap=dense_cap, with_basis=True
+        )
         if sd.gap is not None:
             gap_min = sd.gap if gap_min is None else min(gap_min, sd.gap)
         for pair in pairs:
@@ -130,13 +147,15 @@ def measure_delta_k(
                     k, max(values), values, regions, len(values), skipped, False,
                     gap_min, max_size, phi.d ** max_size,
                 )
-            values.append(pair_overlap_norm(phi, pair, seed=seed))
+            values.append(
+                pair_overlap_norm(phi, pair, seed=seed, dense_cap=dense_cap, region_solve=sd)
+            )
     if not values:
         raise CertificationError(
             f"no split pairs could be generated at scale k = {k}"
         )
     return DeltaMeasurement(
-        k, max(values), values, regions, len(values), skipped, True,
+        k, max(values), values, regions, len(values), skipped, skipped == 0,
         gap_min, max_size, phi.d ** max_size,
     )
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .interaction import commutation_degree, layer_coloring, validate
 from .lattice import chain_graph, check_embedding, grid_graph, make_region, split_pairs
-from .operators import hamiltonian, kernel_basis, spectral_data
+from .operators import hamiltonian, spectral_data
 
 EXIT_CODES = {
     "ok": 0,
@@ -162,17 +162,21 @@ def cmd_dl_check(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     payload: dict = {"t": t, "region_size": len(region)}
 
-    decomp = detectability.column_decomposition(phi, g, region, t, alpha=cfg.alpha)
+    decomp = detectability.column_decomposition(
+        phi, g, region, t, alpha=cfg.alpha, dense_cap=cfg.dense_cap
+    )
     dl = detectability.dl_operator(decomp)
     payload["columns"] = {str(m): list(r) for m, r in decomp.columns.items()}
 
     comm = detectability.check_commuting(decomp)
     checks.append(("column-commutation", comm.max_norm <= 1e-12, f"max {comm.max_norm:.3e}"))
 
-    H = hamiltonian(phi, region, projector_form=True)
-    sd = spectral_data(H, dense_cap=cfg.dense_cap)
+    # H is not kept: the matrix-free norms below set the peak memory
+    sd = spectral_data(
+        hamiltonian(phi, region, projector_form=True), dense_cap=cfg.dense_cap, with_basis=True
+    )
     lam = min(sd.gap, 1.0) if sd.gap is not None else 1.0
-    V = kernel_basis(H, dense_cap=cfg.dense_cap)
+    V = sd.kernel()
     from ._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
 
     P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
@@ -235,7 +239,9 @@ def cmd_dl_check(args) -> int:
     if cfg.k_min is not None:
         pairs = split_pairs(region, cfg.k_min, cfg.s, g)
         for i, pair in enumerate(pairs):
-            orep = detectability.overlap_bound_check(phi, g, pair, t, lam=lam)
+            orep = detectability.overlap_bound_check(
+                phi, g, pair, t, dense_cap=cfg.dense_cap, region_solve=sd
+            )
             checks.append(
                 (
                     f"overlap[{i}]",
@@ -283,7 +289,7 @@ def cmd_certify(args) -> int:
         s_k = max(1, min(s_fn(k), int(certification.side_length(k, g.D) / 8.0)))
         dm = certification.measure_delta_k(
             phi, g, k, s_k, dim_cap=cfg.dim_cap, seed=cfg.seed,
-            axis_perms=bool(cfg.axis_perms),
+            axis_perms=bool(cfg.axis_perms), dense_cap=cfg.dense_cap,
         )
         measurements.append(dm)
         lam = min(dm.gap_min, 1.0) if dm.gap_min is not None else 1.0
@@ -398,7 +404,7 @@ def cmd_validate(args) -> int:
               f"bounds over materialized terms only)")
         region = make_region(g.ids)
         if phi.d ** len(region) <= cfg.dim_cap:
-            ff = operators.check_frustration_free(hamiltonian(phi, region))
+            ff = operators.check_frustration_free(hamiltonian(phi, region), cfg.dense_cap)
             print(f"frustration-free on the full region: {ff}")
             if not ff:
                 return EXIT_CODES["check_failed"]

@@ -25,9 +25,10 @@ from .errors import AdmissibilityError, DimensionCapError, RegionError
 from .interaction import Interaction, LayerColoring, layer_coloring, reduce_to_projectors
 from .lattice import EmbeddedGraph, Region, make_region
 from .operators import (
+    DENSE_CAP,
+    SpectralData,
     embedded_kernel_projector,
     hamiltonian,
-    kernel_basis,
     spectral_data,
 )
 
@@ -95,6 +96,7 @@ def column_decomposition(
     alpha: int = 0,
     allow_small_t: bool = False,
     dim_cap: int = DL_DIM_CAP,
+    dense_cap: int = DENSE_CAP,
 ) -> ColumnDecomposition:
     """Build the coarse-grained columns and their ground projectors.
 
@@ -130,7 +132,9 @@ def column_decomposition(
             pruned.append(m)
             continue
         columns[m] = members
-        projectors[m] = embedded_kernel_projector(phi_proj, members, region, phi.d)
+        projectors[m] = embedded_kernel_projector(
+            phi_proj, members, region, phi.d, dense_cap=dense_cap
+        )
         (kept_even if m in even else kept_odd).append(m)
     return ColumnDecomposition(
         t=t,
@@ -686,27 +690,33 @@ def overlap_bound_check(
     g: EmbeddedGraph,
     pair,
     t: float,
-    lam: float | None = None,
     seed: int = 7,
     tol: float = 1e-9,
+    dense_cap: int = DENSE_CAP,
+    region_solve: SpectralData | None = None,
 ) -> OverlapReport:
     """Overlap-norm chain: lhs <= 3 ||DL P_AB_perp|| <= 3 * refined bound.
 
     The second inequality is asserted only when the bound is below 1 (it is
     vacuous otherwise).  When the pair admits the M_A/M_B regrouping, the
-    absorption identities are verified as well.
+    absorption identities are verified as well.  region_solve is the solve
+    of the projector-form Hamiltonian on pair.Y with its kernel basis, when
+    the caller already has it; lambda is its gap clipped to 1.
     """
     from .interaction import commutation_degree
 
     region = make_region(pair.Y)
-    decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha)
+    decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha, dense_cap=dense_cap)
     dl = dl_operator(decomp)
     dim = decomp.dim
 
-    P_A = embedded_kernel_projector(decomp.phi, pair.A, region, phi.d)
-    P_B = embedded_kernel_projector(decomp.phi, pair.B, region, phi.d)
-    H_Y = hamiltonian(decomp.phi, region)
-    V = kernel_basis(H_Y)
+    P_A = embedded_kernel_projector(decomp.phi, pair.A, region, phi.d, dense_cap=dense_cap)
+    P_B = embedded_kernel_projector(decomp.phi, pair.B, region, phi.d, dense_cap=dense_cap)
+    if region_solve is None:
+        region_solve = spectral_data(
+            hamiltonian(decomp.phi, region), dense_cap=dense_cap, with_basis=True
+        )
+    V = region_solve.kernel()
     P_perp = ProjectorFromBasis(V, dim, complement=True)
 
     diff = LinearCombination(
@@ -717,10 +727,7 @@ def overlap_bound_check(
     lhs = matfree_norm(diff, seed=seed)
     dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], dim), seed=seed)
 
-    if lam is None:
-        sd = spectral_data(H_Y)
-        lam = sd.gap if sd.gap is not None else 1.0
-    lam_clipped = min(lam, 1.0)
+    lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0
     coloring = layer_coloring(decomp.phi)
     g_comm = commutation_degree(decomp.phi)
     g_used = max(g_comm, 1)

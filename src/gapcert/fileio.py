@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, GraphError, InteractionError
 from .interaction import Interaction, InteractionTerm
 from .lattice import EmbeddedGraph
+from .operators import DENSE_CAP
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -192,7 +193,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "s": (int, 1),
     "s_rule": (str, None),        # "const:1" or "power:1.25"
     "seed": (int, 1234),
-    "dense_cap": (int, 4096),
+    "dense_cap": (int, DENSE_CAP),
     "dim_cap": (int, 2 ** 14),
     "workers": (int, 0),          # 0 = number of cpus
     "out_csv": (str, None),

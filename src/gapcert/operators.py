@@ -1,9 +1,10 @@
 """Operators on tensor-product spaces: Hamiltonian assembly, spectra, ground
 projectors, operator norms, and the projector-reduction gap sandwich.
 
-Dense eigensolvers handle dimensions up to DENSE_CAP; above that sparse
-Lanczos iterations are used with deterministic start vectors.  Hard caps
-guard against accidentally materializing astronomically large spaces.
+Dense eigensolvers handle dimensions up to DENSE_CAP; above that one sparse
+LU of H + sigma drives shift-invert iterations with deterministic start
+vectors.  Hard caps guard against accidentally materializing astronomically
+large spaces.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -20,10 +22,10 @@ from .errors import DimensionCapError, EigensolverError, RegionError
 from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
 
-DENSE_CAP = 4096
+DENSE_CAP = 1024
 SPARSE_CAP = 2 ** 24
 KERNEL_REL_TOL = 1e-9
-DEFAULT_NUM_EIGS = 6
+MAX_KERNEL = 512
 SOLVER_SEED = 1234
 
 
@@ -111,7 +113,12 @@ def hamiltonian(
 
 @dataclass
 class SpectralData:
-    """Bottom of the spectrum: sorted eigenvalues, kernel dimension, gap."""
+    """One region solve: the kernel and the gap of H.
+
+    eigenvalues holds the kernel levels followed by the gap level.  basis is
+    an orthonormal (dim, kernel_dim) kernel basis, sparse on the diagonal
+    path; the dense path leaves it None unless the caller asked for it.
+    """
 
     eigenvalues: np.ndarray
     kernel_dim: int
@@ -119,61 +126,115 @@ class SpectralData:
     norm: float
     kernel_tol: float
     solver: str
+    basis: object = None
 
     @property
     def gapless_trivial(self) -> bool:
         return self.gap is None
 
-
-def _operator_norm_bound(H) -> float:
-    """Cheap upper bound on ||H|| for tolerance scaling (max row sum)."""
-    m = H.matrix if isinstance(H, GlobalOperator) else H
-    if sp.issparse(m):
-        return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
-    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+    def kernel(self):
+        """The kernel basis; EigensolverError when the kernel is empty."""
+        if self.kernel_dim == 0:
+            raise EigensolverError("not frustration-free: empty kernel")
+        return self.basis
 
 
 def spectral_data(
     H: GlobalOperator,
-    num_eigs: int = DEFAULT_NUM_EIGS,
     dense_cap: int = DENSE_CAP,
     seed: int = SOLVER_SEED,
+    with_basis: bool = False,
 ) -> SpectralData:
-    """Lowest part of the spectrum via a dense or sparse Hermitian solver.
+    """Kernel and gap of H: the region solve every other entry point reads.
 
-    The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the
-    smallest eigenvalue above it.  A zero (or fully kernel) spectrum yields
-    gap None ("gapless-trivial").
+    The path follows H: the diagonal shortcut when H has no off-diagonal
+    entries, a dense Hermitian solve when dim <= dense_cap (eigenvectors
+    only when with_basis is set), and otherwise one sparse LU of H + sigma
+    that drives both a block kernel iteration and a shift-invert Lanczos
+    for the gap.  The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||);
+    the gap is the smallest eigenvalue above it, None when H is all kernel.
     """
+    return _region_solve(H, dense_cap, seed, with_basis)
+
+
+def _kernel_tol(norm: float) -> float:
+    """Levels at or below this count as kernel: KERNEL_REL_TOL * max(1, ||H||)."""
+    return KERNEL_REL_TOL * max(1.0, norm)
+
+
+def _from_levels(w, tol: float, norm: float, solver: str, basis=None) -> SpectralData:
+    """SpectralData from ascending levels that include every kernel level."""
+    kernel_dim = int((w <= tol).sum())
+    above = w[w > tol]
+    gap = float(above[0]) if above.size else None
+    # a copy, so that the full spectrum of a large diagonal H is not kept alive
+    return SpectralData(w[: kernel_dim + 1].copy(), kernel_dim, gap, norm, tol, solver, basis)
+
+
+def _region_solve(H: GlobalOperator, dense_cap: int, seed: int, with_basis: bool) -> SpectralData:
+    # the body of spectral_data; kernel_basis calls it directly, so that each
+    # solve passes through exactly one public entry point
+    mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
     dim = H.dim
+    coo = mat.tocoo()
+    if not np.any(coo.data[coo.row != coo.col]):
+        diag = np.real(mat.diagonal())
+        norm = float(np.abs(diag).max())
+        tol = _kernel_tol(norm)
+        idx = np.flatnonzero(diag <= tol)
+        V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
+        return _from_levels(np.sort(diag), tol, norm, "diagonal", V)
     if dim <= dense_cap:
-        w = np.linalg.eigvalsh(H.to_dense())
-        norm = float(abs(w).max()) if w.size else 0.0
-        tol = KERNEL_REL_TOL * max(1.0, norm)
-        kernel_dim = int((w <= tol).sum())
-        above = w[w > tol]
-        gap = float(above[0]) if above.size else None
-        keep = min(len(w), max(num_eigs, kernel_dim + 1))
-        return SpectralData(w[:keep], kernel_dim, gap, norm, tol, "dense")
-    return _sparse_spectral_data(H, num_eigs, seed)
-
-
-def _eigsh_smallest(mat, k: int, seed: int):
-    """Lowest-k Hermitian eigenvalues (values only; multiplicity-agnostic)."""
+        if with_basis:
+            w, v = np.linalg.eigh(mat.toarray())
+        else:
+            w, v = np.linalg.eigvalsh(mat.toarray()), None
+        norm = float(np.abs(w).max())
+        tol = _kernel_tol(norm)
+        return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(mat.shape[0])
-    ncv = min(mat.shape[0], max(4 * k + 1, 64))
+    v0 = rng.standard_normal(dim)
     try:
-        out = spla.eigsh(
-            mat, k=k, which="SA", v0=v0, ncv=ncv,
-            maxiter=max(5000, 100 * k), return_eigenvectors=False,
-        )
+        norm = float(abs(spla.eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
     except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver failed: {exc}") from exc
-    return np.sort(out)
+        raise EigensolverError(f"eigensolver failed on ||H||: {exc}") from exc
+    tol = _kernel_tol(norm)
+    sigma = max(100.0 * tol, 1e-10)
+    try:
+        lu = spla.splu(
+            (mat + sigma * sp.identity(dim, format="csr")).tocsc(), permc_spec="MMD_AT_PLUS_A"
+        )
+    except RuntimeError as exc:
+        raise EigensolverError(f"eigensolver failed: factorization: {exc}") from exc
+    V, ritz_above = _block_kernel(mat, lu, tol, rng)
+    resid = float(np.linalg.norm(mat @ V))
+    if resid > 100 * tol * math.sqrt(V.shape[1]):
+        raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
+    kernel = np.zeros(V.shape[1])
+    if V.shape[1] + ritz_above.size == dim:
+        # the block spans the whole space, so its Ritz values are exact
+        return _from_levels(np.concatenate([kernel, ritz_above]), tol, norm, "sparse", V)
+
+    def deflate(x):
+        return x - V @ (V.conj().T @ x)
+
+    # ran V is invariant under (H + sigma)^-1, so deflating each image (and
+    # the start vector) keeps the Krylov space in the excited subspace, where
+    # the top of the spectrum is 1 / (gap + sigma)
+    op = spla.LinearOperator((dim, dim), matvec=lambda x: deflate(lu.solve(x)), dtype=mat.dtype)
+    try:
+        mu = spla.eigsh(
+            op, k=1, which="LA", v0=deflate(v0), ncv=min(20, dim - 1), return_eigenvectors=False
+        )[0]
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"eigensolver failed on the gap: {exc}") from exc
+    gap = 1.0 / mu - sigma if mu > 0 else 0.0
+    if gap <= tol:
+        raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
+    return _from_levels(np.append(kernel, gap), tol, norm, "sparse", V)
 
 
-def _shifted_block_kernel(mat, dim: int, tol: float, seed: int, max_kernel: int):
+def _block_kernel(mat, lu, tol: float, rng):
     """Kernel basis of a sparse PSD matrix by shift-inverted block iteration.
 
     A random block survives every multiplicity (unlike single-vector
@@ -181,14 +242,9 @@ def _shifted_block_kernel(mat, dim: int, tol: float, seed: int, max_kernel: int)
     (H + sigma)^-1 transform gives an enormous kernel/excited contrast, so
     a handful of solve-and-orthogonalize rounds converge to machine level.
     Returns (V, ritz_above): kernel basis and the Ritz values above tol
-    seen in the final block (lower bounds for the excited spectrum).
+    seen in the final block (upper bounds for the lowest excited levels).
     """
-    sigma = max(100.0 * tol, 1e-10)
-    try:
-        lu = spla.splu((mat + sigma * sp.identity(dim, format="csr")).tocsc())
-    except RuntimeError as exc:
-        raise EigensolverError(f"eigensolver failed: factorization: {exc}") from exc
-    rng = np.random.default_rng(seed)
+    dim = mat.shape[0]
     k = 16
     while True:
         k = min(k, dim)
@@ -196,63 +252,17 @@ def _shifted_block_kernel(mat, dim: int, tol: float, seed: int, max_kernel: int)
         if np.iscomplexobj(mat.data):
             X = X + 1j * rng.standard_normal((dim, k))
         for _ in range(4):
-            X = lu.solve(X)
-            X, _ = np.linalg.qr(X)
+            # scipy's QR shares the BLAS that SuperLU calls; alternating with
+            # numpy's BLAS leaves one library's idle threads spinning
+            X = sla.qr(lu.solve(X), mode="economic", overwrite_a=True)[0]
         T = X.conj().T @ (mat @ X)
         w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
         keep = w <= tol
         if (~keep).sum() >= 2 or k == dim:
-            V = X @ u[:, keep]
-            return V, np.sort(w[~keep])
-        if k >= max_kernel:
-            raise EigensolverError(f"kernel larger than {max_kernel}; raise max_kernel")
+            return X @ u[:, keep], w[~keep]
+        if k >= MAX_KERNEL:
+            raise EigensolverError(f"kernel larger than {MAX_KERNEL}")
         k *= 2
-
-
-def _sparse_spectral_data(H: GlobalOperator, num_eigs: int, seed: int) -> SpectralData:
-    mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
-    dim = H.dim
-    if mat.nnz == 0:
-        return SpectralData(np.zeros(min(num_eigs, dim)), dim, None, 0.0, KERNEL_REL_TOL, "sparse")
-    off_diag = mat - sp.diags(mat.diagonal())
-    if off_diag.nnz == 0 or abs(off_diag).max() == 0:
-        diag = np.real(mat.diagonal())
-        norm = float(np.abs(diag).max())
-        tol = KERNEL_REL_TOL * max(1.0, norm)
-        kernel_dim = int((diag <= tol).sum())
-        above = diag[diag > tol]
-        gap = float(above.min()) if above.size else None
-        lowest = np.sort(np.partition(diag, min(num_eigs, dim) - 1)[: min(num_eigs, dim)])
-        return SpectralData(lowest, kernel_dim, gap, norm, tol, "diagonal")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    try:
-        top = spla.eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        norm = float(max(abs(top[0]), 0.0))
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver failed on ||H||: {exc}") from exc
-    tol = KERNEL_REL_TOL * max(1.0, norm)
-    V, _ = _shifted_block_kernel(mat, dim, tol, seed, max_kernel=512)
-    kernel_dim = V.shape[1]
-    # gap: smallest eigenvalue after pushing the kernel out of the way
-    shift = 2.0 * max(1.0, norm)
-
-    def deflated(x):
-        return mat @ x + shift * (V @ (V.conj().T @ x))
-
-    op = spla.LinearOperator((dim, dim), matvec=deflated, dtype=V.dtype)
-    w = np.sort(
-        spla.eigsh(
-            op, k=min(num_eigs, dim - 2), which="SA", v0=v0,
-            ncv=min(dim, max(4 * num_eigs + 1, 40)), maxiter=5000,
-            return_eigenvectors=False,
-        )
-    )
-    above = w[w > tol]
-    if above.size == 0:
-        raise EigensolverError("eigensolver failed: no excited level resolved")
-    eigs = np.concatenate([np.zeros(kernel_dim), above])
-    return SpectralData(eigs, kernel_dim, float(above[0]), norm, tol, "sparse")
 
 
 def _cache_key(H: GlobalOperator) -> str:
@@ -268,18 +278,13 @@ def _cache_key(H: GlobalOperator) -> str:
     return h.hexdigest()
 
 
-def kernel_basis(
-    H: GlobalOperator,
-    dense_cap: int = DENSE_CAP,
-    seed: int = SOLVER_SEED,
-    max_kernel: int = 256,
-):
+def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP, seed: int = SOLVER_SEED):
     """Orthonormal basis of the kernel (ground space) as a (dim, r) array.
 
-    Uses, in order of preference: the diagonal shortcut for diagonal
-    matrices, a dense eigendecomposition, or sparse Lanczos with an
-    adaptively grown window.  Set GAPCERT_CACHE to a directory to reuse
-    bases across runs (content-addressed by the matrix payload).
+    The basis of the region solve (see spectral_data); sparse one-hot for
+    diagonal H.  Raises EigensolverError when the kernel is empty.  Set
+    GAPCERT_CACHE to a directory to reuse dense bases across runs
+    (content-addressed by the matrix payload).
     """
     import os
 
@@ -291,46 +296,10 @@ def kernel_basis(
         cache_path = Path(cache_dir) / f"kernel-{_cache_key(H)}.npy"
         if cache_path.exists():
             return np.load(cache_path)
-    V = _kernel_basis_impl(H, dense_cap, seed, max_kernel)
+    V = _region_solve(H, dense_cap, seed, with_basis=True).kernel()
     if cache_path is not None and not sp.issparse(V):
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         np.save(cache_path, V)
-    return V
-
-
-def _kernel_basis_impl(
-    H: GlobalOperator,
-    dense_cap: int = DENSE_CAP,
-    seed: int = SOLVER_SEED,
-    max_kernel: int = 256,
-):
-    mat = H.matrix
-    dim = H.dim
-    tol = KERNEL_REL_TOL * max(1.0, _operator_norm_bound(H))
-    if sp.issparse(mat):
-        off = mat - sp.diags(mat.diagonal())
-        if off.nnz == 0 or abs(off).max() == 0:
-            idx = np.flatnonzero(np.abs(mat.diagonal()) <= tol)
-            if idx.size == 0:
-                raise EigensolverError("not frustration-free: empty kernel")
-            V = sp.csc_matrix(
-                (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size)
-            )
-            return V
-    if dim <= dense_cap:
-        w, v = np.linalg.eigh(H.to_dense())
-        tol = KERNEL_REL_TOL * max(1.0, float(abs(w).max()) if w.size else 0.0)
-        keep = w <= tol
-        if not keep.any():
-            raise EigensolverError("not frustration-free: empty kernel")
-        return v[:, keep]
-    matc = mat.tocsr()
-    V, _ = _shifted_block_kernel(matc, dim, tol, seed, max_kernel)
-    if V.shape[1] == 0:
-        raise EigensolverError("not frustration-free: empty kernel")
-    resid = float(np.linalg.norm(matc @ V))
-    if resid > 100 * tol * math.sqrt(V.shape[1]):
-        raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
     return V
 
 
@@ -352,16 +321,7 @@ def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOpe
 
 def check_frustration_free(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> bool:
     """True iff the smallest eigenvalue sits at zero (within tolerance)."""
-    if H.dim <= dense_cap:
-        w = np.linalg.eigvalsh(H.to_dense())
-        tol = KERNEL_REL_TOL * max(1.0, float(abs(w).max()) if w.size else 0.0)
-        return bool(w.min() <= tol)
-    mat = H.matrix.tocsr()
-    if mat.nnz == 0:
-        return True
-    lo = _eigsh_smallest(mat, 2, SOLVER_SEED)[0]
-    tol = KERNEL_REL_TOL * max(1.0, _operator_norm_bound(H))
-    return bool(lo <= tol)
+    return spectral_data(H, dense_cap=dense_cap).kernel_dim > 0
 
 
 def operator_norm(M, hermitian: bool = False, seed: int = 7) -> float:

@@ -46,6 +46,14 @@ def dense_chain_hamiltonian(n, term, d=2):
     return H
 
 
+def dense_bond_hamiltonian(n, bonds, d=2):
+    """Open chain with its own 2-site term on each bond (i, i+1), direct np.kron sum."""
+    H = np.zeros((d ** n, d ** n), dtype=complex)
+    for i, term in bonds:
+        H += kron_chain([np.eye(d ** i), term, np.eye(d ** (n - i - 2))])
+    return H
+
+
 def dense_ground_projector(H, tol_rel=1e-9):
     w, v = np.linalg.eigh(H)
     tol = tol_rel * max(1.0, float(np.abs(w).max()))

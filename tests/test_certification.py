@@ -111,6 +111,12 @@ class TestMeasureDelta:
         assert not dm.exhaustive
         assert dm.pairs_tested == 3
 
+    def test_skipped_windows_not_exhaustive(self):
+        g = chain_graph(16)
+        dm = measure_delta_k(commuting_toy(g), g, 6, 1, dim_cap=2 ** 13)
+        assert dm.skipped_regions > 0
+        assert not dm.exhaustive
+
 
 class TestCertify:
     def test_zero_deltas_infinite_s(self):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gapcert.cli import EXIT_CODES, main
 
@@ -36,6 +37,21 @@ class TestGapCommand:
     def test_missing_geometry_is_config_error(self, capsys):
         code = run(["gap", "--model", "heisenberg_fm"])
         assert code == EXIT_CODES["config"]
+
+    def test_gap_non_convergence_is_solver_exit(self, capsys, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        real = spla.eigsh
+
+        def gap_fails(A, *args, **kwargs):
+            if isinstance(A, spla.LinearOperator):  # the shift-invert gap solve
+                raise spla.ArpackNoConvergence("No convergence", np.empty(0), np.empty(0))
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", gap_fails)
+        code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse
+        assert code == EXIT_CODES["solver"]
+        assert "eigensolver failed on the gap" in capsys.readouterr().err
 
 
 class TestDLCheckCommand:
@@ -113,6 +129,37 @@ class TestCertifyCommand:
         assert code == EXIT_CODES["not_certifiable"]
         assert "delta_k=" in out  # the trend is shown
         assert "not certifiable" in out
+
+    def test_skipped_windows_flagged_sampled(self, capsys):
+        code = run(
+            ["certify", "--model", "commuting_toy", "--length", "16",
+             "--k-min", "6", "--k-max", "6", "--s", "1", "--dim-cap", str(2 ** 13)]
+        )
+        assert code == EXIT_CODES["not_certifiable"]
+        assert "[sampled]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--model", "heisenberg_fm", "--length", "13",
+             "--k-min", "6", "--k-max", "6", "--s", "1"],
+            ["dl-check", "--model", "commuting_toy", "--length", "13", "--t", "4",
+             "--k-min", "6", "--s", "1"],
+        ],
+    )
+    def test_dense_cap_reaches_every_solve(self, argv, monkeypatch, capsys):
+        from gapcert import operators
+
+        caps = []
+        solve = operators._region_solve
+
+        def recording(H, dense_cap, *args, **kwargs):
+            caps.append(dense_cap)
+            return solve(H, dense_cap, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "_region_solve", recording)
+        run(argv + ["--dense-cap", "64"])
+        assert caps and set(caps) == {64}
 
     def test_empty_k_range_usage_error(self, capsys):
         code = run(

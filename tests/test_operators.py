@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapcert._tensor import matfree_norm
 from gapcert.errors import DimensionCapError, EigensolverError, RegionError
 from gapcert.interaction import Interaction, InteractionTerm
 from gapcert.lattice import chain_graph, make_region
 from gapcert.models import commuting_toy, heisenberg_fm, random_low_rank
 from gapcert.operators import (
+    DENSE_CAP,
     GlobalOperator,
     check_frustration_free,
     embed,
@@ -18,6 +23,7 @@ from gapcert.operators import (
 )
 
 from conftest import (
+    dense_bond_hamiltonian,
     dense_chain_hamiltonian,
     dense_embed,
     dense_gap,
@@ -130,6 +136,72 @@ class TestSpectralData:
         sd = spectral_data(H, dense_cap=8)
         assert sd.solver == "diagonal"
         assert sd.gap == pytest.approx(1.0)
+
+
+def _check_against_dense_oracle(phi, n, dense_cap):
+    H = hamiltonian(phi, tuple(range(n)))
+    Hd = dense_bond_hamiltonian(n, [(t.support[0], t.matrix) for t in phi.terms], phi.d)
+    sd = spectral_data(H, dense_cap=dense_cap, with_basis=True)
+    V = sd.kernel()
+    assert np.linalg.norm(V @ V.conj().T - dense_ground_projector(Hd), 2) <= 1e-8
+    assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-9)
+    return sd
+
+
+class TestRegionSolveProperties:
+    """Random frustration-free chains on both sides of dense_cap against the oracles."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=3, max_value=7),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+        dense_cap=st.sampled_from([8, 4096]),
+    )
+    def test_rank_one_qubit_chains(self, n, seed, dense_cap):
+        phi, _ = random_low_rank(chain_graph(n), 1, seed)
+        _check_against_dense_oracle(phi, n, dense_cap)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=3, max_value=5),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+        dense_cap=st.sampled_from([8, 4096]),
+    )
+    def test_rank_two_qutrit_chains(self, n, seed, dense_cap):
+        # rank-2 qubit bonds are generically frustrated; qutrit bonds are not
+        phi, _ = random_low_rank(chain_graph(n), 2, seed, d=3)
+        _check_against_dense_oracle(phi, n, dense_cap)
+
+    def test_complex_chain_above_dense_cap(self):
+        n = 11
+        phi, _ = random_low_rank(chain_graph(n), 1, seed=3)
+        sd = _check_against_dense_oracle(phi, n, DENSE_CAP)
+        assert sd.solver == "sparse"
+
+
+class TestSolverFailures:
+    @staticmethod
+    def _no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
+
+    def test_matfree_norm_raises_instead_of_estimating(self, monkeypatch):
+        monkeypatch.setattr(spla, "eigsh", self._no_convergence)
+        op = spla.aslinearoperator(np.diag(np.linspace(0.0, 1.0, 64)))
+        with pytest.raises(EigensolverError, match="operator norm"):
+            matfree_norm(op)
+
+    def test_sparse_gap_raises(self, monkeypatch):
+        real = spla.eigsh
+
+        def gap_fails(A, *args, **kwargs):
+            if isinstance(A, spla.LinearOperator):  # the shift-invert gap solve
+                self._no_convergence()
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", gap_fails)
+        H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
+        with pytest.raises(EigensolverError, match="on the gap"):
+            spectral_data(H, dense_cap=8)
 
 
 class TestGroundProjector:
