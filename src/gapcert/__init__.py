@@ -15,7 +15,6 @@ from .certification import (  # noqa: F401
 )
 from .detectability import (  # noqa: F401
     ChebyshevStep,
-    chebyshev_step,
     column_decomposition,
     dl_operator,
     layer_product,

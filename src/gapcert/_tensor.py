@@ -19,24 +19,27 @@ from .errors import EigensolverError
 DEFAULT_NORM_SEED = 7
 
 
-def remap_indices(indices: np.ndarray, order: list[int], n: int, d: int) -> np.ndarray:
-    """Map basis indices whose factor order is `order` to plain 0..n-1 order."""
-    out = np.zeros_like(indices)
-    for j, site in enumerate(order):
-        digit = (indices // d ** (n - 1 - j)) % d
-        out += digit * d ** (n - 1 - site)
-    return out
+def _front(x: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """x with the given factors moved to the front, as a (d^m, d^(n-m)) matrix."""
+    m = len(positions)
+    xt = np.moveaxis(x.reshape((d,) * n), positions, range(m))
+    return np.ascontiguousarray(xt).reshape(d ** m, -1)
+
+
+def _unfront(y: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """Inverse of _front: the leading factors moved back to their positions."""
+    m = len(positions)
+    yt = np.moveaxis(y.reshape((d,) * n), range(m), positions)
+    return np.ascontiguousarray(yt).reshape(-1)
 
 
 def embed_sparse(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> sp.csr_matrix:
     """block acting on the given factor positions, identity elsewhere (CSR)."""
     m = len(positions)
-    rest = [p for p in range(n) if p not in positions]
-    order = list(positions) + rest
     K = sp.kron(sp.coo_matrix(block), sp.identity(d ** (n - m), format="coo"), format="coo")
-    tgt_row = remap_indices(K.row.astype(np.int64), order, n, d)
-    tgt_col = remap_indices(K.col.astype(np.int64), order, n, d)
-    out = sp.csr_matrix((K.data, (tgt_row, tgt_col)), shape=K.shape)
+    # K is written in the fronted factor order; perm maps its indices to plain order
+    perm = _front(np.arange(d ** n), positions, n, d).ravel()
+    out = sp.csr_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
     out.sum_duplicates()
     return out
 
@@ -116,23 +119,12 @@ class FactoredProjectorBlock:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def _front(self, x: np.ndarray) -> np.ndarray:
-        m = len(self.positions)
-        xt = np.moveaxis(x.reshape((self.d,) * self.n), self.positions, range(m))
-        return np.ascontiguousarray(xt).reshape(self.d ** m, -1)
-
-    def _unfront(self, y: np.ndarray, dtype) -> np.ndarray:
-        m = len(self.positions)
-        yt = y.reshape((self.d,) * self.n)
-        yt = np.moveaxis(yt, range(m), self.positions)
-        return np.ascontiguousarray(yt).reshape(-1).astype(dtype, copy=False)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         V = self.basis
-        xf = self._front(x)
-        yf = V @ (V.conj().T @ xf)
-        yf = np.asarray(yf)
-        return self._unfront(yf, np.result_type(V.dtype, x.dtype))
+        xf = _front(x, self.positions, self.n, self.d)
+        yf = np.asarray(V @ (V.conj().T @ xf))
+        y = _unfront(yf, self.positions, self.n, self.d)
+        return y.astype(np.result_type(V.dtype, x.dtype), copy=False)
 
     apply_adjoint = apply  # Hermitian
 
@@ -193,37 +185,25 @@ class OperatorChain:
         return out
 
 
-class LinearCombination:
-    """coeffs[0]*ops[0] + coeffs[1]*ops[1] + ... as a matvec-capable object."""
+class Difference:
+    """a - b for two matvec-capable operators of the same shape."""
 
-    def __init__(self, ops, coeffs, dim: int):
-        self.ops = list(ops)
-        self.coeffs = list(coeffs)
-        self.dim = dim
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
     @property
     def shape(self):
-        return (self.dim, self.dim)
+        return self.a.shape
 
     def matvec(self, x):
-        out = None
-        for c, op in zip(self.coeffs, self.ops):
-            term = c * op.matvec(x)
-            out = term if out is None else out + term
-        return out
+        return self.a.matvec(x) - self.b.matvec(x)
 
     def rmatvec(self, x):
-        out = None
-        for c, op in zip(self.coeffs, self.ops):
-            term = np.conj(c) * op.rmatvec(x)
-            out = term if out is None else out + term
-        return out
+        return self.a.rmatvec(x) - self.b.rmatvec(x)
 
     def to_dense(self):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, op in zip(self.coeffs, self.ops):
-            out = out + c * op.to_dense()
-        return out
+        return self.a.to_dense() - self.b.to_dense()
 
 
 class ProjectorFromBasis:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tensor import LinearCombination, OperatorChain, ProjectorFromBasis, matfree_norm
+from ._tensor import Difference, OperatorChain, ProjectorFromBasis, matfree_norm
 from .errors import CertificationError, SplitError
 from .interaction import Interaction, reduce_to_projectors
 from .lattice import (
@@ -25,7 +25,6 @@ from .operators import (
     SpectralData,
     embedded_kernel_projector,
     hamiltonian,
-    kernel_basis,
     spectral_data,
 )
 
@@ -45,27 +44,32 @@ def pair_overlap_norm(
     seed: int = 7,
     dense_cap: int = DENSE_CAP,
     region_solve: SpectralData | None = None,
+    projectors: tuple | None = None,
 ) -> float:
     """|| P_A P_B - P_{A u B} || for one split pair, matrix-free.
 
-    region_solve is the solve of the projector-form Hamiltonian on pair.Y
-    with its kernel basis, when the caller already has it.
+    The one construction of this norm: delta_k and the left end of the
+    detectability overlap chain both read it.  region_solve is the solve of
+    the projector-form Hamiltonian on pair.Y with its kernel basis, and
+    projectors the ground projectors (P_A, P_B) embedded in pair.Y, when
+    the caller already has them.
     """
     region = make_region(pair.Y)
-    phi_proj = reduce_to_projectors(
-        Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
-    )
     dim = phi.d ** len(region)
-    P_A = embedded_kernel_projector(phi_proj, pair.A, region, phi.d, dense_cap=dense_cap)
-    P_B = embedded_kernel_projector(phi_proj, pair.B, region, phi.d, dense_cap=dense_cap)
+    if projectors is None:
+        phi_proj = reduce_to_projectors(
+            Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
+        )
+        projectors = tuple(
+            embedded_kernel_projector(phi_proj, X, region, phi.d, dense_cap=dense_cap)
+            for X in (pair.A, pair.B)
+        )
     if region_solve is None:
-        V = kernel_basis(hamiltonian(phi_proj, region), dense_cap=dense_cap)
-    else:
-        V = region_solve.kernel()
-    diff = LinearCombination(
-        [OperatorChain([P_A, P_B], dim), ProjectorFromBasis(V, dim)],
-        [1.0, -1.0],
-        dim,
+        region_solve = spectral_data(
+            hamiltonian(phi, region, projector_form=True), dense_cap=dense_cap, with_basis=True
+        )
+    diff = Difference(
+        OperatorChain(list(projectors), dim), ProjectorFromBasis(region_solve.kernel(), dim)
     )
     return matfree_norm(diff, seed=seed)
 

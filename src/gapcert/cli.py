@@ -186,7 +186,8 @@ def cmd_dl_check(args) -> int:
     payload["dl_perp"] = dl_perp
 
     T = detectability.layer_product(phi, region)
-    g_comm = commutation_degree(phi, support_only=bool(cfg.conservative_g))
+    # one g for the run, on the projector-form terms that T and DL(t) are built from
+    g_comm = commutation_degree(decomp.phi, support_only=bool(cfg.conservative_g))
     rep = detectability.standard_dl_check(T, P_perp, lam, g_comm)
     flag = " (g=0 -> conservative g=1)" if rep.g_flagged else ""
     if cfg.conservative_g:
@@ -239,8 +240,12 @@ def cmd_dl_check(args) -> int:
     if cfg.k_min is not None:
         pairs = split_pairs(region, cfg.k_min, cfg.s, g)
         for i, pair in enumerate(pairs):
+            # the battery's columns (and so its ||DL P_perp||) run along --alpha
+            same_axis = pair.alpha == decomp.alpha
             orep = detectability.overlap_bound_check(
-                phi, g, pair, t, dense_cap=cfg.dense_cap, region_solve=sd
+                phi, g, pair, t, seed=cfg.seed, dense_cap=cfg.dense_cap,
+                decomp=decomp if same_axis else None, region_solve=sd,
+                dl_perp=dl_perp if same_axis else None, g_comm=g_comm,
             )
             checks.append(
                 (

@@ -15,14 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._tensor import (
+    Difference,
     FactoredProjectorBlock,
-    LinearCombination,
     OperatorChain,
     ProjectorFromBasis,
     matfree_norm,
 )
+from .certification import pair_overlap_norm
 from .errors import AdmissibilityError, DimensionCapError, RegionError
-from .interaction import Interaction, LayerColoring, layer_coloring, reduce_to_projectors
+from .interaction import (
+    Interaction,
+    LayerColoring,
+    commutation_degree,
+    layer_coloring,
+    reduce_to_projectors,
+)
 from .lattice import EmbeddedGraph, Region, make_region
 from .operators import (
     DENSE_CAP,
@@ -170,13 +177,8 @@ def check_commuting(decomp: ColumnDecomposition, seed: int = 7) -> CommutingRepo
         for i, m in enumerate(indices):
             for n_ in indices[i + 1:]:
                 qm, qn = decomp.projectors[m], decomp.projectors[n_]
-                comm = LinearCombination(
-                    [
-                        OperatorChain([qm, qn], decomp.dim),
-                        OperatorChain([qn, qm], decomp.dim),
-                    ],
-                    [1.0, -1.0],
-                    decomp.dim,
+                comm = Difference(
+                    OperatorChain([qm, qn], decomp.dim), OperatorChain([qn, qm], decomp.dim)
                 )
                 val = matfree_norm(comm, seed=seed)
                 out[(m, n_)] = val
@@ -366,10 +368,6 @@ class ChebyshevStep:
     def envelope(self) -> float:
         """The uniform bound 2 exp(-2 q sqrt(gamma)) valid on [gamma, 1]."""
         return 2.0 * math.exp(-2.0 * self.q * math.sqrt(self.gamma))
-
-
-def chebyshev_step(p: ChebyshevStep, x: float) -> float:
-    return p(x)
 
 
 def f_star(F, eps: float, grid_points: int = 10001) -> float:
@@ -637,11 +635,7 @@ def ma_mb_split(
                 decomp.dim,
             )
             dl = dl_operator(decomp)
-            diff = LinearCombination(
-                [OperatorChain(M_A.factors + M_B.factors, decomp.dim), dl.chain],
-                [1.0, -1.0],
-                decomp.dim,
-            )
+            diff = Difference(OperatorChain(M_A.factors + M_B.factors, decomp.dim), dl.chain)
             residual = matfree_norm(diff, seed=seed)
             if residual > IDENTITY_RESIDUAL_TOL:
                 continue
@@ -693,20 +687,27 @@ def overlap_bound_check(
     seed: int = 7,
     tol: float = 1e-9,
     dense_cap: int = DENSE_CAP,
+    decomp: ColumnDecomposition | None = None,
     region_solve: SpectralData | None = None,
+    dl_perp: float | None = None,
+    g_comm: int | None = None,
 ) -> OverlapReport:
     """Overlap-norm chain: lhs <= 3 ||DL P_AB_perp|| <= 3 * refined bound.
 
     The second inequality is asserted only when the bound is below 1 (it is
     vacuous otherwise).  When the pair admits the M_A/M_B regrouping, the
-    absorption identities are verified as well.  region_solve is the solve
-    of the projector-form Hamiltonian on pair.Y with its kernel basis, when
-    the caller already has it; lambda is its gap clipped to 1.
+    absorption identities are verified as well.  A caller that already
+    holds them passes, for pair.Y: decomp, its column decomposition along
+    pair.alpha at this t; region_solve, the solve of its projector-form
+    Hamiltonian with the kernel basis (lambda is the gap clipped to 1);
+    dl_perp, ||DL(t) P_perp|| from these two; and g_comm, the commutation
+    degree of decomp.phi.  Whatever is not passed is computed here.
     """
-    from .interaction import commutation_degree
-
     region = make_region(pair.Y)
-    decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha, dense_cap=dense_cap)
+    if decomp is None:
+        decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha, dense_cap=dense_cap)
+    elif (decomp.region, decomp.alpha, decomp.t) != (region, pair.alpha, t):
+        raise ValueError("decomp is not the column decomposition of pair.Y along pair.alpha at t")
     dl = dl_operator(decomp)
     dim = decomp.dim
 
@@ -716,23 +717,20 @@ def overlap_bound_check(
         region_solve = spectral_data(
             hamiltonian(decomp.phi, region), dense_cap=dense_cap, with_basis=True
         )
-    V = region_solve.kernel()
-    P_perp = ProjectorFromBasis(V, dim, complement=True)
-
-    diff = LinearCombination(
-        [OperatorChain([P_A, P_B], dim), ProjectorFromBasis(V, dim)],
-        [1.0, -1.0],
-        dim,
+    lhs = pair_overlap_norm(
+        phi, pair, seed=seed, region_solve=region_solve, projectors=(P_A, P_B)
     )
-    lhs = matfree_norm(diff, seed=seed)
-    dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], dim), seed=seed)
+    if dl_perp is None:
+        P_perp = ProjectorFromBasis(region_solve.kernel(), dim, complement=True)
+        dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], dim), seed=seed)
 
     lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0
-    coloring = layer_coloring(decomp.phi)
-    g_comm = commutation_degree(decomp.phi)
+    L = layer_coloring(decomp.phi).L
+    if g_comm is None:
+        g_comm = commutation_degree(decomp.phi)
     g_used = max(g_comm, 1)
     try:
-        bound = refined_dl_bound(t, lam_clipped, coloring.L, g_used, g.c_gamma, phi.R)
+        bound = refined_dl_bound(t, lam_clipped, L, g_used, g.c_gamma, phi.R)
     except AdmissibilityError:
         bound = None
 
@@ -744,19 +742,13 @@ def overlap_bound_check(
         admissible = False
         split = None
     if split is not None:
-        pa_ma = LinearCombination(
-            [OperatorChain([P_A] + split.M_A.factors, dim), OperatorChain([P_A], dim)],
-            [1.0, -1.0],
-            dim,
+        pa_ma = Difference(
+            OperatorChain([P_A] + split.M_A.factors, dim), OperatorChain([P_A], dim)
         )
         absorption_a = matfree_norm(pa_ma, seed=seed)
-        pa_mb = LinearCombination(
-            [
-                OperatorChain([P_A] + split.M_B.factors, dim),
-                OperatorChain([P_A] + dl.chain.factors, dim),
-            ],
-            [1.0, -1.0],
-            dim,
+        pa_mb = Difference(
+            OperatorChain([P_A] + split.M_B.factors, dim),
+            OperatorChain([P_A] + dl.chain.factors, dim),
         )
         absorption_dl = matfree_norm(pa_mb, seed=seed)
 
@@ -767,7 +759,7 @@ def overlap_bound_check(
         bound=bound,
         rhs=None if bound is None else 3.0 * bound,
         lam=float(lam_clipped),
-        L=coloring.L,
+        L=L,
         g_used=g_used,
         admissible=admissible,
         absorption_a=absorption_a,

@@ -52,12 +52,6 @@ class GlobalOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
 
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        if sp.issparse(m):
-            return float(abs(m - m.conj().T).max())
-        return float(np.abs(m - m.conj().T).max())
-
 
 def _positions(support: Region, region: Region) -> tuple[int, ...]:
     try:
@@ -265,42 +259,13 @@ def _block_kernel(mat, lu, tol: float, rng):
         k *= 2
 
 
-def _cache_key(H: GlobalOperator) -> str:
-    import hashlib
-
-    m = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
-    m.sum_duplicates()
-    h = hashlib.sha256()
-    h.update(repr((H.region, H.d, m.shape)).encode())
-    h.update(np.round(m.data, 12).tobytes())
-    h.update(m.indices.tobytes())
-    h.update(m.indptr.tobytes())
-    return h.hexdigest()
-
-
 def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP, seed: int = SOLVER_SEED):
     """Orthonormal basis of the kernel (ground space) as a (dim, r) array.
 
     The basis of the region solve (see spectral_data); sparse one-hot for
-    diagonal H.  Raises EigensolverError when the kernel is empty.  Set
-    GAPCERT_CACHE to a directory to reuse dense bases across runs
-    (content-addressed by the matrix payload).
+    diagonal H.  Raises EigensolverError when the kernel is empty.
     """
-    import os
-
-    cache_dir = os.environ.get("GAPCERT_CACHE")
-    cache_path = None
-    if cache_dir:
-        from pathlib import Path
-
-        cache_path = Path(cache_dir) / f"kernel-{_cache_key(H)}.npy"
-        if cache_path.exists():
-            return np.load(cache_path)
-    V = _region_solve(H, dense_cap, seed, with_basis=True).kernel()
-    if cache_path is not None and not sp.issparse(V):
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        np.save(cache_path, V)
-    return V
+    return _region_solve(H, dense_cap, seed, with_basis=True).kernel()
 
 
 def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOperator:

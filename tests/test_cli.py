@@ -103,6 +103,39 @@ class TestDLCheckCommand:
         assert "overlap_0" in payload
         assert set(payload["overlap_0"]) >= {"lhs", "mid", "rhs"}
 
+    def test_dl_check_solves_no_region_twice(self, monkeypatch, capsys):
+        from gapcert import operators
+
+        keys = []
+        solve = operators._region_solve
+
+        def recording(H, *args, **kwargs):
+            m = H.matrix.tocsr(copy=True)
+            m.sum_duplicates()
+            keys.append((H.region, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()))
+            return solve(H, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "_region_solve", recording)
+        code = run(
+            ["dl-check", "--model", "heisenberg_fm", "--length", "12", "--t", "2",
+             "--k-min", "6", "--s", "1"]
+        )
+        assert code == 0
+        assert keys and len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("flag", [[], ["--conservative-g"]])
+    def test_overlap_rhs_uses_the_run_g(self, flag, tmp_path):
+        import json
+
+        js = tmp_path / "dl.json"
+        code = run(
+            ["dl-check", "--model", "commuting_toy", "--length", "13", "--t", "4",
+             "--k-min", "6", "--s", "1", "--out-json", str(js)] + flag
+        )
+        assert code == 0
+        payload = json.loads(js.read_text())
+        assert payload["overlap_0"]["rhs"] == pytest.approx(3 * payload["refined_bound"], rel=1e-12)
+
 
 class TestCertifyCommand:
     def test_commuting_toy_positive_bound(self, capsys, tmp_path):
@@ -231,16 +264,3 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "region size 3" in out
-
-    def test_projector_cache_round_trip(self, tmp_path, monkeypatch):
-        from gapcert.lattice import chain_graph
-        from gapcert.models import heisenberg_fm
-        from gapcert.operators import hamiltonian, kernel_basis
-
-        monkeypatch.setenv("GAPCERT_CACHE", str(tmp_path / "cache"))
-        H = hamiltonian(heisenberg_fm(chain_graph(6)), tuple(range(6)))
-        first = kernel_basis(H)
-        cached = list((tmp_path / "cache").glob("kernel-*.npy"))
-        assert len(cached) == 1
-        second = kernel_basis(H)
-        assert np.array_equal(first, second)

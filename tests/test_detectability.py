@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gapcert._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
 from gapcert.detectability import (
     ChebyshevStep,
-    chebyshev_step,
     check_commuting,
     column_decomposition,
     conservative_degree_budget,
@@ -274,10 +273,6 @@ class TestChebyshevStep:
             p = ChebyshevStep(q, gamma)
             assert abs(p(x)) <= p.envelope() + 1e-12
 
-    def test_module_level_wrapper(self):
-        p = ChebyshevStep(3, 0.4)
-        assert chebyshev_step(p, 0.7) == p(0.7)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ChebyshevStep(0, 0.5)
@@ -494,6 +489,35 @@ class TestOverlapBound:
         assert rep.absorption_a <= 1e-10
         assert rep.absorption_dl <= 1e-10
         assert rep.ok
+
+    def test_battery_values_give_the_same_chain(self):
+        from gapcert.interaction import commutation_degree
+
+        n, t = 12, 2
+        g = chain_graph(n)
+        phi = heisenberg_fm(g)
+        pair = split_pairs(tuple(range(n)), 6, 1, g)[0]
+        decomp = column_decomposition(phi, g, pair.Y, t, alpha=pair.alpha)
+        sd = spectral_data(hamiltonian(decomp.phi, pair.Y), with_basis=True)
+        P_perp = ProjectorFromBasis(sd.kernel(), decomp.dim, complement=True)
+        dl = dl_operator(decomp)
+        dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim))
+        bare = overlap_bound_check(phi, g, pair, t)
+        shared = overlap_bound_check(
+            phi, g, pair, t, decomp=decomp, region_solve=sd, dl_perp=dl_perp,
+            g_comm=commutation_degree(decomp.phi),
+        )
+        for key in ("lhs", "mid", "rhs"):
+            assert getattr(shared, key) == pytest.approx(getattr(bare, key), rel=0, abs=1e-12)
+        assert shared.ok and bare.ok
+
+    def test_decomposition_of_another_region_rejected(self):
+        g = chain_graph(12)
+        phi = heisenberg_fm(g)
+        pair = split_pairs(tuple(range(12)), 6, 1, g)[0]
+        decomp = column_decomposition(phi, g, tuple(range(11)), 2)
+        with pytest.raises(ValueError, match="not the column decomposition"):
+            overlap_bound_check(phi, g, pair, 2, decomp=decomp)
 
 
 class TestBeyondChains:

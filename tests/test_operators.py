@@ -66,6 +66,16 @@ class TestEmbed:
             oracle = dense_embed(block, sites, region, 2)
             assert np.allclose(ours, oracle, atol=1e-12)
 
+    def test_qutrit_complex_non_adjacent_against_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        block = a + a.conj().T
+        region = (0, 1, 2, 3, 4)
+        for sites in [(0, 2), (1, 4), (0, 4), (2, 3)]:
+            ours = embed(InteractionTerm(sites, block), region, 3).to_dense()
+            oracle = dense_embed(block, sites, region, 3)
+            assert np.allclose(ours, oracle, atol=1e-12)
+
 
 class TestHamiltonian:
     def test_region_without_terms_is_zero(self):
