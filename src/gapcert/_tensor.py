@@ -13,10 +13,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigensolverError
+from .errors import DimensionCapError, EigensolverError
 
 
 DEFAULT_NORM_SEED = 7
+# largest product-space dimension that OperatorChain.to_dense materializes
+MATERIALIZE_CAP = 4096
 
 
 def _front(x: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -66,8 +68,8 @@ class SiteBlockOperator:
             raise ValueError("positions must be strictly increasing")
 
     @property
-    def dim(self) -> int:
-        return self.d ** self.n
+    def shape(self) -> tuple[int, int]:
+        return (self.d ** self.n, self.d ** self.n)
 
     def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         m = len(self.positions)
@@ -77,10 +79,10 @@ class SiteBlockOperator:
         y = np.moveaxis(y, tuple(range(m)), self.positions)
         return np.ascontiguousarray(y).reshape(-1)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self.block, x)
 
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
         return self._apply(self.block.conj().T, x)
 
     def to_sparse(self) -> sp.csr_matrix:
@@ -112,21 +114,21 @@ class FactoredProjectorBlock:
             raise ValueError("basis rows do not match positions")
 
     @property
-    def dim(self) -> int:
-        return self.d ** self.n
+    def shape(self) -> tuple[int, int]:
+        return (self.d ** self.n, self.d ** self.n)
 
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         V = self.basis
         xf = _front(x, self.positions, self.n, self.d)
         yf = np.asarray(V @ (V.conj().T @ xf))
         y = _unfront(yf, self.positions, self.n, self.d)
         return y.astype(np.result_type(V.dtype, x.dtype), copy=False)
 
-    apply_adjoint = apply  # Hermitian
+    rmatvec = matvec  # Hermitian
 
     def block_matrix(self) -> np.ndarray:
         V = self.basis.toarray() if sp.issparse(self.basis) else self.basis
@@ -142,8 +144,8 @@ class FactoredProjectorBlock:
 class OperatorChain:
     """Ordered product factors[0] @ factors[1] @ ... applied to vectors.
 
-    Factors may be SiteBlockOperator, ndarray, sparse matrices, or any
-    object with apply/apply_adjoint.  An empty chain is the identity.
+    Every factor is an operator with shape, matvec and rmatvec (to_dense too,
+    for materializing the product).  An empty chain is the identity.
     """
 
     def __init__(self, factors, dim: int):
@@ -154,34 +156,25 @@ class OperatorChain:
     def shape(self):
         return (self.dim, self.dim)
 
-    @staticmethod
-    def _one(f, x, adjoint):
-        if sp.issparse(f) or isinstance(f, np.ndarray):
-            return (f.conj().T @ x) if adjoint else (f @ x)
-        return f.apply_adjoint(x) if adjoint else f.apply(x)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         for f in reversed(self.factors):
-            x = self._one(f, x, adjoint=False)
+            x = f.matvec(x)
         return x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the conjugate transpose of the chain."""
         for f in self.factors:
-            x = self._one(f, x, adjoint=True)
+            x = f.rmatvec(x)
         return x
 
     def to_dense(self) -> np.ndarray:
+        if self.dim > MATERIALIZE_CAP:
+            raise DimensionCapError(
+                f"operator product too large to materialize: {self.dim} > {MATERIALIZE_CAP}"
+            )
         out = np.eye(self.dim)
         for f in self.factors:
-            if isinstance(f, SiteBlockOperator):
-                out = out @ f.to_dense()
-            elif sp.issparse(f):
-                out = out @ f.toarray()
-            elif isinstance(f, np.ndarray):
-                out = out @ f
-            else:
-                out = out @ f.to_dense()
+            out = out @ f.to_dense()
         return out
 
 
@@ -201,9 +194,6 @@ class Difference:
 
     def rmatvec(self, x):
         return self.a.rmatvec(x) - self.b.rmatvec(x)
-
-    def to_dense(self):
-        return self.a.to_dense() - self.b.to_dense()
 
 
 class ProjectorFromBasis:
@@ -225,11 +215,6 @@ class ProjectorFromBasis:
 
     rmatvec = matvec  # Hermitian
 
-    def apply(self, x):
-        return self.matvec(x)
-
-    apply_adjoint = apply
-
     def to_dense(self):
         V = self.basis
         V = V.toarray() if sp.issparse(V) else V
@@ -240,13 +225,14 @@ class ProjectorFromBasis:
 def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
-    Lanczos on the Gram operator op^dag op.  Raises EigensolverError when
-    ARPACK does not converge: the norm is used as an upper bound, and no
-    cheaper estimate is one.
+    Up to dimension 32 the matrix is built from matvec on the identity
+    columns and its norm taken densely; above, Lanczos on the Gram operator
+    op^dag op.  Raises EigensolverError when ARPACK does not converge: the
+    norm is used as an upper bound, and no cheaper estimate is one.
     """
     n = op.shape[1]
     if n <= 32:
-        dense = op.to_dense() if hasattr(op, "to_dense") else op @ np.eye(n)
+        dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         return float(np.linalg.norm(dense, 2))
     rng = np.random.default_rng(seed)
 

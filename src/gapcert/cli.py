@@ -180,9 +180,9 @@ def cmd_dl_check(args) -> int:
     from ._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
 
     P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
-    dl_norm = matfree_norm(dl.chain, seed=cfg.seed)
+    dl_norm = matfree_norm(dl, seed=cfg.seed)
     checks.append(("dl-norm<=1", dl_norm <= 1.0 + 1e-10, f"{dl_norm:.6f}"))
-    dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim), seed=cfg.seed)
+    dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim), seed=cfg.seed)
     payload["dl_perp"] = dl_perp
 
     T = detectability.layer_product(phi, region)
@@ -337,6 +337,9 @@ def cmd_certify(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _load_config(args)
+    if cfg.interaction_file or cfg.graph_file or cfg.grid:
+        raise ConfigError("scaling sweeps built-in chain models: --interaction-file, "
+                          "--graph-file and --grid are not supported")
     if cfg.sizes is None:
         raise ConfigError("need --sizes (e.g. 4:12 or 4,6,8)")
     if ":" in str(cfg.sizes):
@@ -345,20 +348,11 @@ def cmd_scaling(args) -> int:
     else:
         sizes = [int(x) for x in str(cfg.sizes).split(",")]
     workers = cfg.workers or (os.cpu_count() or 1)
-    name = cfg.model or "heisenberg_fm"
+    cfg.update(model=cfg.model or "heisenberg_fm")
 
     def one(n: int):
         g = chain_graph(n)
-        if name == "heisenberg_fm":
-            phi = models.heisenberg_fm(g)
-        elif name == "aklt":
-            phi = models.aklt_chain(n)
-        elif name == "commuting_toy":
-            phi = models.commuting_toy(g)
-        elif name == "low_rank":
-            phi, _ = models.random_low_rank(g, cfg.rank, cfg.seed)
-        else:
-            raise ConfigError(f"unknown model: {name}")
+        phi = build_model(cfg, g)
         H = hamiltonian(phi, make_region(g.ids), cap=cfg.dim_cap)
         sd = spectral_data(H, dense_cap=cfg.dense_cap, seed=cfg.seed)
         if sd.gap is None:

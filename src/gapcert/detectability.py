@@ -187,88 +187,25 @@ def check_commuting(decomp: ColumnDecomposition, seed: int = 7) -> CommutingRepo
     return CommutingReport(maxima[0], maxima[1], out)
 
 
-@dataclass(eq=False)
-class DLOperator:
-    """Ordered product of even-column then odd-column ground projectors."""
-
-    even_indices: list[float]
-    odd_indices: list[float]
-    chain: OperatorChain
-    decomp: ColumnDecomposition
-
-    @property
-    def dim(self) -> int:
-        return self.chain.dim
-
-    @property
-    def shape(self):
-        return self.chain.shape
-
-    def matvec(self, x):
-        return self.chain.matvec(x)
-
-    def rmatvec(self, x):
-        return self.chain.rmatvec(x)
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > 4096:
-            raise DimensionCapError("DL matrix too large to materialize")
-        return self.chain.to_dense()
-
-
-def dl_operator(decomp: ColumnDecomposition) -> DLOperator:
+def dl_operator(decomp: ColumnDecomposition) -> OperatorChain:
+    """DL(t): the even-column then odd-column ground projectors, in index order."""
     factors = [decomp.projectors[m] for m in decomp.even_indices]
     factors += [decomp.projectors[m] for m in decomp.odd_indices]
-    return DLOperator(
-        decomp.even_indices,
-        decomp.odd_indices,
-        OperatorChain(factors, decomp.dim),
-        decomp,
-    )
+    return OperatorChain(factors, decomp.dim)
 
 
-@dataclass(eq=False)
-class LayerProduct:
+class LayerProduct(OperatorChain):
     """T = T_L ... T_1 with T_beta the product of (1 - h_X) over layer beta."""
 
-    coloring: LayerColoring
-    layer_factors: list[list]  # index 0 = layer 1
-    region: Region
-    d: int
+    def __init__(self, coloring: LayerColoring, layer_factors: list[list], dim: int):
+        # product order T_L ... T_1: layer 1 acts first
+        super().__init__([f for layer in reversed(layer_factors) for f in layer], dim)
+        self.coloring = coloring
+        self.layer_factors = layer_factors  # index 0 = layer 1
 
     @property
     def L(self) -> int:
         return len(self.layer_factors)
-
-    @property
-    def dim(self) -> int:
-        return self.d ** len(self.region)
-
-    @property
-    def shape(self):
-        return (self.dim, self.dim)
-
-    def _flat(self) -> list:
-        # product order T_L ... T_1 : layer 1 acts first
-        out = []
-        for beta in range(self.L - 1, -1, -1):
-            out.extend(self.layer_factors[beta])
-        return out
-
-    def matvec(self, x):
-        return OperatorChain(self._flat(), self.dim).matvec(x)
-
-    def rmatvec(self, x):
-        return OperatorChain(self._flat(), self.dim).rmatvec(x)
-
-    def gram_matvec(self, x):
-        """Apply T^dag T."""
-        return self.rmatvec(self.matvec(x))
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > 4096:
-            raise DimensionCapError("layer product too large to materialize")
-        return OperatorChain(self._flat(), self.dim).to_dense()
 
 
 def layer_product(
@@ -290,7 +227,7 @@ def layer_product(
         term = phi_proj.terms[idx]
         block = np.eye(term.matrix.shape[0]) - term.matrix
         layers[layer - 1].append(embedded_block(block, term.support, region, phi.d))
-    return LayerProduct(coloring, layers, region, phi.d)
+    return LayerProduct(coloring, layers, phi.d ** len(region))
 
 
 @dataclass
@@ -315,7 +252,7 @@ def standard_dl_check(
     """
     flagged = g < 1
     g_used = max(g, 1)
-    chain = OperatorChain(T._flat() + [P_perp], T.dim)
+    chain = OperatorChain(T.factors + [P_perp], T.dim)
     val = matfree_norm(chain, seed=seed)
     bound = 1.0 / (1.0 + lam / g_used ** 2)
     return StandardDLReport(val ** 2, bound, g_used, flagged)
@@ -425,71 +362,42 @@ def conservative_degree_budget(t: float, c_gamma: float, L: int, R: float) -> in
     return max(0, math.ceil(x - 1e-12) - 1)
 
 
-class _PolySandwich:
-    """DL - (even block) F(1 - T^dag T) (odd block), matvec/rmatvec capable."""
-
-    def __init__(self, dl: DLOperator, T: LayerProduct, apply_F):
-        self.dl = dl
-        self.T = T
-        self.apply_F = apply_F
-        even = [dl.decomp.projectors[m] for m in dl.even_indices]
-        odd = [dl.decomp.projectors[m] for m in dl.odd_indices]
-        self.even_chain = OperatorChain(even, dl.dim)
-        self.odd_chain = OperatorChain(odd, dl.dim)
-
-    @property
-    def shape(self):
-        return self.dl.shape
-
-    def matvec(self, x):
-        lhs = self.dl.matvec(x)
-        rhs = self.even_chain.matvec(self.apply_F(self.odd_chain.matvec(x)))
-        return lhs - rhs
-
-    def rmatvec(self, x):
-        lhs = self.dl.rmatvec(x)
-        rhs = self.odd_chain.rmatvec(self.apply_F(self.even_chain.rmatvec(x)))
-        return lhs - rhs
-
-
-def _apply_poly_factory(F, T: LayerProduct):
-    """Return a function applying F(1 - T^dag T) to vectors.
+class _GramPolynomial:
+    """F(1 - T^dag T) for a layer product T, as one Hermitian chain factor.
 
     Chebyshev steps go through the stable three-term recurrence in the
     shifted variable; plain coefficient polynomials use Horner.
     """
 
-    def S_apply(x):
-        return x - T.gram_matvec(x)
+    def __init__(self, F, T: LayerProduct):
+        self.F = F
+        self.T = T
+        self.shape = T.shape
+        if not isinstance(F, ChebyshevStep):
+            self.coeffs = np.atleast_1d(np.asarray(F, dtype=float))
 
-    if isinstance(F, ChebyshevStep):
-        scale = 2.0 / (1.0 - F.gamma)
-        denom = F.denominator
+    def _S(self, x):
+        return x - self.T.rmatvec(self.T.matvec(x))
 
-        def w_apply(x):
-            # w(S) = 2 (1 - S) / (1 - gamma) - 1
-            return scale * (x - S_apply(x)) - x
+    def matvec(self, x):
+        F = self.F
+        if isinstance(F, ChebyshevStep):
+            scale = 2.0 / (1.0 - F.gamma)
 
-        def apply_F(x):
-            if F.q == 0:
-                return x
-            b_prev = x
-            b = w_apply(x)
+            def w(v):
+                # w(S) = 2 (1 - S) / (1 - gamma) - 1
+                return scale * (v - self._S(v)) - v
+
+            b_prev, b = x, w(x)
             for _ in range(F.q - 1):
-                b_prev, b = b, 2.0 * w_apply(b) - b_prev
-            return b / denom
-
-        return apply_F
-
-    coeffs = np.atleast_1d(np.asarray(F, dtype=float))
-
-    def apply_poly(x):
-        out = coeffs[-1] * x
-        for c in coeffs[-2::-1]:
-            out = S_apply(out) + c * x
+                b_prev, b = b, 2.0 * w(b) - b_prev
+            return b / F.denominator
+        out = self.coeffs[-1] * x
+        for c in self.coeffs[-2::-1]:
+            out = self._S(out) + c * x
         return out
 
-    return apply_poly
+    rmatvec = matvec  # Hermitian: real coefficients in the Hermitian S
 
 
 def _poly_degree(F) -> int:
@@ -541,8 +449,11 @@ def smuggle_check(
             f"degree exceeds smuggling budget: deg(F) = {deg} > {budget}"
         )
     dl = dl_operator(decomp)
-    op = _PolySandwich(dl, T, _apply_poly_factory(F, T))
-    residual = matfree_norm(op, seed=seed)
+    n_even = len(decomp.even_indices)
+    inserted = OperatorChain(
+        dl.factors[:n_even] + [_GramPolynomial(F, T)] + dl.factors[n_even:], decomp.dim
+    )
+    residual = matfree_norm(Difference(dl, inserted), seed=seed)
     return SmuggleReport(residual, deg, budget, conservative, decomp.t)
 
 
@@ -635,7 +546,7 @@ def ma_mb_split(
                 decomp.dim,
             )
             dl = dl_operator(decomp)
-            diff = Difference(OperatorChain(M_A.factors + M_B.factors, decomp.dim), dl.chain)
+            diff = Difference(OperatorChain(M_A.factors + M_B.factors, decomp.dim), dl)
             residual = matfree_norm(diff, seed=seed)
             if residual > IDENTITY_RESIDUAL_TOL:
                 continue
@@ -722,7 +633,7 @@ def overlap_bound_check(
     )
     if dl_perp is None:
         P_perp = ProjectorFromBasis(region_solve.kernel(), dim, complement=True)
-        dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], dim), seed=seed)
+        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], dim), seed=seed)
 
     lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0
     L = layer_coloring(decomp.phi).L
@@ -748,7 +659,7 @@ def overlap_bound_check(
         absorption_a = matfree_norm(pa_ma, seed=seed)
         pa_mb = Difference(
             OperatorChain([P_A] + split.M_B.factors, dim),
-            OperatorChain([P_A] + dl.chain.factors, dim),
+            OperatorChain([P_A] + dl.factors, dim),
         )
         absorption_dl = matfree_norm(pa_mb, seed=seed)
 

@@ -16,6 +16,10 @@ Interaction files:
 
 Run configuration: flat "key value" lines with a mandatory schema_version.
 Unknown keys are rejected so typos fail loudly.
+
+An unreadable file raises ConfigError naming the path; a line with a missing
+value or a token that does not convert raises the format's error (GraphError,
+InteractionError, ConfigError) naming the line.
 """
 
 from __future__ import annotations
@@ -29,6 +33,19 @@ from .errors import ConfigError, GraphError, InteractionError
 from .interaction import Interaction, InteractionTerm
 from .lattice import EmbeddedGraph
 from .operators import DENSE_CAP
+
+
+def _read(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read input file {path}: {reason}") from None
+
+
+def _bad_line(error: type, tokens: list[str], exc: Exception) -> Exception:
+    reason = "missing value" if isinstance(exc, IndexError) else str(exc)
+    return error(f"malformed line '{' '.join(tokens)}': {reason}")
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -47,20 +64,23 @@ def parse_graph(text: str) -> EmbeddedGraph:
     edges: list[tuple[int, int]] = []
     for tokens in _content_lines(text):
         key = tokens[0].lower()
-        if key == "dim":
-            dim = int(tokens[1])
-        elif key == "c_gamma":
-            c_gamma = float(tokens[1])
-        elif key == "vertex":
-            vid = int(tokens[1])
-            coords = tuple(float(x) for x in tokens[2:])
-            if vid in vertices:
-                raise GraphError(f"duplicate vertex id {vid}")
-            vertices[vid] = coords
-        elif key == "edge":
-            edges.append((int(tokens[1]), int(tokens[2])))
-        else:
-            raise GraphError(f"unknown graph directive: {tokens[0]}")
+        try:
+            if key == "dim":
+                dim = int(tokens[1])
+            elif key == "c_gamma":
+                c_gamma = float(tokens[1])
+            elif key == "vertex":
+                vid = int(tokens[1])
+                coords = tuple(float(x) for x in tokens[2:])
+                if vid in vertices:
+                    raise GraphError(f"duplicate vertex id {vid}")
+                vertices[vid] = coords
+            elif key == "edge":
+                edges.append((int(tokens[1]), int(tokens[2])))
+            else:
+                raise GraphError(f"unknown graph directive: {tokens[0]}")
+        except (ValueError, IndexError) as exc:
+            raise _bad_line(GraphError, tokens, exc) from None
     if dim is None:
         raise GraphError("graph file missing 'dim'")
     ids = tuple(sorted(vertices))
@@ -94,7 +114,7 @@ def format_graph(g: EmbeddedGraph) -> str:
 
 
 def load_graph(path) -> EmbeddedGraph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(_read(path))
 
 
 def _parse_complex_row(tokens: list[str], width: int) -> np.ndarray:
@@ -125,32 +145,35 @@ def parse_interaction(text: str) -> tuple[Interaction | None, str | None, dict]:
     i = 0
     while i < len(lines):
         tokens = lines[i]
-        key = tokens[0].lower()
-        if key == "d":
-            d = int(tokens[1])
-        elif key == "range":
-            R = float(tokens[1])
-        elif key == "model":
-            model = tokens[1]
-        elif key == "param":
-            params[tokens[1]] = float(tokens[2])
-        elif key == "term":
-            if d is None:
-                raise InteractionError("term listed before 'd'")
-            support = tuple(int(x) for x in tokens[1:])
-            width = d ** len(support)
-            rows = []
-            for r in range(width):
-                i += 1
-                if i >= len(lines):
-                    raise InteractionError("unexpected end of file inside a term matrix")
-                rows.append(_parse_complex_row(lines[i], width))
-            mat = np.vstack(rows)
-            if np.abs(mat.imag).max() == 0.0:
-                mat = mat.real
-            terms.append(InteractionTerm(support, mat))
-        else:
-            raise InteractionError(f"unknown interaction directive: {tokens[0]}")
+        try:
+            key = tokens[0].lower()
+            if key == "d":
+                d = int(tokens[1])
+            elif key == "range":
+                R = float(tokens[1])
+            elif key == "model":
+                model = tokens[1]
+            elif key == "param":
+                params[tokens[1]] = float(tokens[2])
+            elif key == "term":
+                if d is None:
+                    raise InteractionError("term listed before 'd'")
+                support = tuple(int(x) for x in tokens[1:])
+                width = d ** len(support)
+                rows = []
+                for r in range(width):
+                    i += 1
+                    if i >= len(lines):
+                        raise InteractionError("unexpected end of file inside a term matrix")
+                    rows.append(_parse_complex_row(lines[i], width))
+                mat = np.vstack(rows)
+                if np.abs(mat.imag).max() == 0.0:
+                    mat = mat.real
+                terms.append(InteractionTerm(support, mat))
+            else:
+                raise InteractionError(f"unknown interaction directive: {tokens[0]}")
+        except (ValueError, IndexError) as exc:
+            raise _bad_line(InteractionError, lines[i], exc) from None
         i += 1
     if model is not None and terms:
         raise InteractionError("file mixes a named model with explicit terms")
@@ -172,7 +195,7 @@ def format_interaction(phi: Interaction) -> str:
 
 
 def load_interaction(path):
-    return parse_interaction(Path(path).read_text())
+    return parse_interaction(_read(path))
 
 
 CONFIG_SCHEMA_VERSION = 1
@@ -232,7 +255,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown config key: {key}")
         if len(tokens) != 2:
             raise ConfigError(f"config key {key} needs exactly one value")
-        cfg.update(**{key: tokens[1]})
+        try:
+            cfg.update(**{key: tokens[1]})
+        except ValueError as exc:
+            raise _bad_line(ConfigError, tokens, exc) from None
         if key == "schema_version":
             seen_version = True
             if cfg.schema_version != CONFIG_SCHEMA_VERSION:
@@ -246,4 +272,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read(path))

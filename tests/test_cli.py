@@ -137,6 +137,17 @@ class TestDLCheckCommand:
         assert payload["overlap_0"]["rhs"] == pytest.approx(3 * payload["refined_bound"], rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "model, n", [("heisenberg_fm", 5), ("heisenberg_fm", 4), ("commuting_toy", 5)]
+    )
+    def test_small_region_battery_passes(self, model, n, capsys):
+        # dim <= 32: every norm, the insertion identity's included, goes dense
+        code = run(["dl-check", "--model", model, "--length", str(n), "--t", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("[PASS]") == 8
+
+
 class TestCertifyCommand:
     def test_commuting_toy_positive_bound(self, capsys, tmp_path):
         csv = tmp_path / "cert.csv"
@@ -237,6 +248,16 @@ class TestScalingCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--interaction-file", "/nonexistent"), ("--graph-file", "g.txt"),
+                        ("--grid", "4x3")]
+    )
+    def test_unsupported_geometry_flags_rejected(self, flag, value, capsys):
+        code = run(["scaling", "--sizes", "4:6", flag, value])
+        assert code == EXIT_CODES["config"]
+        assert flag in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_coloring_reports(self, capsys):
         code = run(["coloring", "--model", "heisenberg_fm", "--grid", "3x3"])
@@ -264,3 +285,32 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "region size 3" in out
+
+
+ZERO_ROW = "0,0 0,0 0,0 0,0"
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize(
+        "flag, name, text, message",
+        [
+            ("--config", "missing.cfg", None, "missing.cfg"),
+            ("--graph-file", "missing.txt", None, "missing.txt"),
+            ("--interaction-file", "missing.txt", None, "missing.txt"),
+            ("--graph-file", "g.txt", "dim 1\nvertex 0 zero\n", "vertex 0 zero"),
+            ("--graph-file", "g.txt", "dim\n", "'dim'"),
+            ("--config", "run.cfg", "schema_version 1\nrank abc\n", "rank abc"),
+            ("--interaction-file", "phi.txt",
+             "d 2\nrange 1\nterm 0 1\nx,0 0,0 0,0 0,0\n" + 3 * (ZERO_ROW + "\n"),
+             "x,0 0,0 0,0 0,0"),
+        ],
+        ids=["missing-config", "missing-graph", "missing-interaction", "graph-bad-float",
+             "graph-bare-dim", "config-bad-int", "interaction-bad-entry"],
+    )
+    def test_bad_input_file_is_config_exit(self, flag, name, text, message, tmp_path, capsys):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        code = run(["gap", "--model", "heisenberg_fm", "--length", "3", flag, str(path)])
+        assert code == EXIT_CODES["config"]
+        assert message in capsys.readouterr().err

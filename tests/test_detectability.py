@@ -136,10 +136,10 @@ class TestDLOperator:
         g, phi, region, decomp = fm_setup(6, 4)
         dl = dl_operator(decomp)
         # only one nontrivial column at this size
-        assert len(dl.even_indices) + len(dl.odd_indices) >= 1
+        assert len(decomp.even_indices) + len(decomp.odd_indices) >= 1
         x = np.random.default_rng(0).standard_normal(decomp.dim)
         out = dl.matvec(x)
-        for m in dl.even_indices + dl.odd_indices:
+        for m in decomp.even_indices + decomp.odd_indices:
             pass  # composition checked against dense below
         dense = dl.to_dense()
         assert np.linalg.norm(dense @ x - out) <= 1e-10
@@ -148,7 +148,7 @@ class TestDLOperator:
         for n, t in ((10, 2), (12, 2)):
             _, _, _, decomp = fm_setup(n, t)
             dl = dl_operator(decomp)
-            assert matfree_norm(dl.chain) <= 1.0 + 1e-10
+            assert matfree_norm(dl) <= 1.0 + 1e-10
 
     def test_contracts_excited_space(self):
         g, phi, region, decomp = fm_setup(12, 2)
@@ -156,16 +156,16 @@ class TestDLOperator:
         H = hamiltonian(phi, region, projector_form=True)
         V = kernel_basis(H)
         P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
-        val = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim))
+        val = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         assert val < 1.0
 
     def test_matches_dense_composition(self):
         g, phi, region, decomp = fm_setup(10, 2)
         dl = dl_operator(decomp)
         dense = np.eye(decomp.dim)
-        for m in dl.even_indices:
+        for m in decomp.even_indices:
             dense = dense @ decomp.projectors[m].to_dense()
-        for m in dl.odd_indices:
+        for m in decomp.odd_indices:
             dense = dense @ decomp.projectors[m].to_dense()
         assert np.linalg.norm(dl.to_dense() - dense, 2) <= 1e-10
 
@@ -191,7 +191,7 @@ class TestLayerProduct:
         phi = heisenberg_fm(g)
         T = layer_product(phi, tuple(range(8)))
         assert T.L == 2
-        assert matfree_norm(OperatorChain(T._flat(), T.dim)) <= 1.0 + 1e-10
+        assert matfree_norm(OperatorChain(T.factors, T.dim)) <= 1.0 + 1e-10
 
     def test_empty_region_is_identity(self):
         from gapcert.interaction import Interaction
@@ -382,7 +382,7 @@ class TestRefinedBound:
         dl = dl_operator(decomp)
         V = kernel_basis(hamiltonian(toy, region))
         P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
-        val = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim))
+        val = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         bound = refined_dl_bound(4, 1.0, 2, 1, 1.0, 1.0)
         assert bound < 1.0
         assert val <= bound + 1e-9
@@ -501,7 +501,7 @@ class TestOverlapBound:
         sd = spectral_data(hamiltonian(decomp.phi, pair.Y), with_basis=True)
         P_perp = ProjectorFromBasis(sd.kernel(), decomp.dim, complement=True)
         dl = dl_operator(decomp)
-        dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim))
+        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         bare = overlap_bound_check(phi, g, pair, t)
         shared = overlap_bound_check(
             phi, g, pair, t, decomp=decomp, region_solve=sd, dl_perp=dl_perp,
@@ -537,7 +537,7 @@ class TestBeyondChains:
             assert members == expected
         assert check_commuting(decomp).max_norm <= 1e-12
         dl = dl_operator(decomp)
-        assert matfree_norm(dl.chain) <= 1.0 + 1e-10
+        assert matfree_norm(dl) <= 1.0 + 1e-10
         H = hamiltonian(phi, region, projector_form=True)
         V = kernel_basis(H)
         P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
@@ -587,9 +587,9 @@ def test_pperp_inf_variant_on_commuting_model():
     H = hamiltonian(toy, region)
     V = kernel_basis(H)
     P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
-    dl_perp = matfree_norm(OperatorChain(dl.chain.factors + [P_perp], decomp.dim))
+    dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
     T = layer_product(toy, region)
-    tp = matfree_norm(OperatorChain(T._flat() + [P_perp], T.dim))
+    tp = matfree_norm(OperatorChain(T.factors + [P_perp], T.dim))
     eps = tp * tp
     best = min(
         f_star(ChebyshevStep(q, 0.5), eps) for q in (1, 2)
