@@ -16,7 +16,9 @@ import scipy.sparse.linalg as spla
 from .errors import DimensionCapError, EigensolverError
 
 
+# start vector of the Lanczos norm; it steers convergence, not the converged value
 DEFAULT_NORM_SEED = 7
+NORM_TOL = 1e-10
 # largest product-space dimension that OperatorChain.to_dense materializes
 MATERIALIZE_CAP = 4096
 
@@ -116,10 +118,6 @@ class FactoredProjectorBlock:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.d ** self.n, self.d ** self.n)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         V = self.basis
@@ -222,7 +220,7 @@ class ProjectorFromBasis:
         return np.eye(self.dim) - P if self.complement else P
 
 
-def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float:
+def matfree_norm(op) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
     Up to dimension 32 the matrix is built from matvec on the identity
@@ -234,7 +232,7 @@ def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float
     if n <= 32:
         dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         return float(np.linalg.norm(dense, 2))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_NORM_SEED)
 
     def gram(x):
         return op.rmatvec(op.matvec(x))
@@ -248,7 +246,7 @@ def matfree_norm(op, seed: int = DEFAULT_NORM_SEED, tol: float = 1e-10) -> float
     G = spla.LinearOperator((n, n), matvec=gram, rmatvec=gram, dtype=probe.dtype)
     try:
         vals = spla.eigsh(
-            G, k=1, which="LA", v0=v0, tol=tol,
+            G, k=1, which="LA", v0=v0, tol=NORM_TOL,
             maxiter=max(2000, 20 * n), return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:

@@ -41,7 +41,6 @@ def recursion_step(gap_F: float, delta: float, s: float) -> float:
 def pair_overlap_norm(
     phi: Interaction,
     pair: SplitPair,
-    seed: int = 7,
     dense_cap: int = DENSE_CAP,
     region_solve: SpectralData | None = None,
     projectors: tuple | None = None,
@@ -71,7 +70,7 @@ def pair_overlap_norm(
     diff = Difference(
         OperatorChain(list(projectors), dim), ProjectorFromBasis(region_solve.kernel(), dim)
     )
-    return matfree_norm(diff, seed=seed)
+    return matfree_norm(diff)
 
 
 def region_fits_scale(g: EmbeddedGraph, region: Region, k: int) -> bool:
@@ -103,23 +102,18 @@ def measure_delta_k(
     g: EmbeddedGraph,
     k: int,
     s: int,
-    t: float | None = None,
     dim_cap: int = 2 ** 14,
     max_pairs: int | None = None,
-    seed: int = 7,
     axis_perms: bool = False,
     dense_cap: int = DENSE_CAP,
 ) -> DeltaMeasurement:
     """Measure delta_k = max over split pairs of || P_A P_B - P_{A u B} ||.
 
     Pairs come from slab splits of every scale-k window materialized on the
-    graph that does not already fit at scale k-1.  The `t` argument is
-    informational (reports reuse it); the overlap norms themselves do not
-    depend on the coarse-graining.  When max_pairs truncates the family, or
+    graph that does not already fit at scale k-1.  When max_pairs truncates the family, or
     a window is skipped by dim_cap or a failed split, the result is flagged
     as a sampled lower estimate of the sup (exhaustive=False).
     """
-    del t  # recorded by callers in reports; not needed for the sup itself
     values: list[float] = []
     skipped = 0
     regions = 0
@@ -152,7 +146,7 @@ def measure_delta_k(
                     gap_min, max_size, phi.d ** max_size,
                 )
             values.append(
-                pair_overlap_norm(phi, pair, seed=seed, dense_cap=dense_cap, region_solve=sd)
+                pair_overlap_norm(phi, pair, dense_cap=dense_cap, region_solve=sd)
             )
     if not values:
         raise CertificationError(

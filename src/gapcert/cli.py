@@ -140,7 +140,7 @@ def cmd_gap(args) -> int:
     phi = build_model(cfg, g)
     region = make_region(g.ids)
     H = hamiltonian(phi, region, cap=cfg.dim_cap)
-    sd = spectral_data(H, dense_cap=cfg.dense_cap, seed=cfg.seed)
+    sd = spectral_data(H, dense_cap=cfg.dense_cap)
     print(f"region size {len(region)}  hilbert dim {H.dim}")
     print(f"kernel dim {sd.kernel_dim}  solver {sd.solver}")
     print(f"gap {_fmt(sd.gap)}" if sd.gap is not None else "gap undefined (gapless-trivial)")
@@ -180,9 +180,9 @@ def cmd_dl_check(args) -> int:
     from ._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
 
     P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
-    dl_norm = matfree_norm(dl, seed=cfg.seed)
+    dl_norm = matfree_norm(dl)
     checks.append(("dl-norm<=1", dl_norm <= 1.0 + 1e-10, f"{dl_norm:.6f}"))
-    dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim), seed=cfg.seed)
+    dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
     payload["dl_perp"] = dl_perp
 
     T = detectability.layer_product(phi, region)
@@ -243,7 +243,7 @@ def cmd_dl_check(args) -> int:
             # the battery's columns (and so its ||DL P_perp||) run along --alpha
             same_axis = pair.alpha == decomp.alpha
             orep = detectability.overlap_bound_check(
-                phi, g, pair, t, seed=cfg.seed, dense_cap=cfg.dense_cap,
+                phi, g, pair, t, dense_cap=cfg.dense_cap,
                 decomp=decomp if same_axis else None, region_solve=sd,
                 dl_perp=dl_perp if same_axis else None, g_comm=g_comm,
             )
@@ -293,7 +293,7 @@ def cmd_certify(args) -> int:
         # measurements need s_k within the admissible window for that scale
         s_k = max(1, min(s_fn(k), int(certification.side_length(k, g.D) / 8.0)))
         dm = certification.measure_delta_k(
-            phi, g, k, s_k, dim_cap=cfg.dim_cap, seed=cfg.seed,
+            phi, g, k, s_k, dim_cap=cfg.dim_cap,
             axis_perms=bool(cfg.axis_perms), dense_cap=cfg.dense_cap,
         )
         measurements.append(dm)
@@ -337,9 +337,9 @@ def cmd_certify(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _load_config(args)
-    if cfg.interaction_file or cfg.graph_file or cfg.grid:
-        raise ConfigError("scaling sweeps built-in chain models: --interaction-file, "
-                          "--graph-file and --grid are not supported")
+    if cfg.interaction_file or cfg.graph_file or cfg.grid or cfg.length:
+        raise ConfigError("scaling sweeps built-in chain models over --sizes: --interaction-file, "
+                          "--graph-file, --grid and --length are not supported")
     if cfg.sizes is None:
         raise ConfigError("need --sizes (e.g. 4:12 or 4,6,8)")
     if ":" in str(cfg.sizes):
@@ -354,7 +354,7 @@ def cmd_scaling(args) -> int:
         g = chain_graph(n)
         phi = build_model(cfg, g)
         H = hamiltonian(phi, make_region(g.ids), cap=cfg.dim_cap)
-        sd = spectral_data(H, dense_cap=cfg.dense_cap, seed=cfg.seed)
+        sd = spectral_data(H, dense_cap=cfg.dense_cap)
         if sd.gap is None:
             raise CertificationError("gapless at finite size")
         return n, H.dim, sd.gap
@@ -418,7 +418,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # flags beyond the model and geometry ones, each given only to the subcommands that read it
+    options = {
+        "--dense-cap": {"dest": "dense_cap", "type": int},
+        "--dim-cap": {"dest": "dim_cap", "type": int},
+        "--workers": {"type": int, "help": "0 = all cores"},
+        "--out-csv": {"dest": "out_csv"},
+        "--out-json": {"dest": "out_json"},
+    }
+
+    def common(p, *flags):
         p.add_argument("--config", help="run configuration file (flags override it)")
         p.add_argument("--model", choices=["heisenberg_fm", "aklt", "commuting_toy", "low_rank"])
         p.add_argument("--length", type=int, help="chain length")
@@ -426,19 +435,16 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph-file", dest="graph_file")
         p.add_argument("--interaction-file", dest="interaction_file")
         p.add_argument("--rank", type=int, help="low_rank model rank")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dense-cap", dest="dense_cap", type=int)
-        p.add_argument("--dim-cap", dest="dim_cap", type=int)
-        p.add_argument("--workers", type=int, help="0 = all cores")
-        p.add_argument("--out-csv", dest="out_csv")
-        p.add_argument("--out-json", dest="out_json")
+        p.add_argument("--seed", type=int, help="low_rank model seed")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     p_gap = sub.add_parser("gap", help="kernel dimension and spectral gap of a region")
-    common(p_gap)
+    common(p_gap, "--dense-cap", "--dim-cap", "--out-csv")
     p_gap.set_defaults(fn=cmd_gap)
 
     p_dl = sub.add_parser("dl-check", help="detectability-lemma invariant battery")
-    common(p_dl)
+    common(p_dl, "--dense-cap", "--out-json")
     p_dl.add_argument("--t", type=float)
     p_dl.add_argument("--alpha", type=int, help="coarse-graining axis")
     p_dl.add_argument("--k-min", dest="k_min", type=int, help="scale for overlap splits")
@@ -450,7 +456,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_dl.set_defaults(fn=cmd_dl_check)
 
     p_cert = sub.add_parser("certify", help="divide-and-conquer gap certificate")
-    common(p_cert)
+    common(p_cert, "--dense-cap", "--dim-cap", "--out-csv")
     p_cert.add_argument("--k-min", dest="k_min", type=int)
     p_cert.add_argument("--k-max", dest="k_max", type=int)
     p_cert.add_argument("--s", type=int)
@@ -462,7 +468,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(fn=cmd_certify)
 
     p_scale = sub.add_parser("scaling", help="gap versus size exponent fit")
-    common(p_scale)
+    common(p_scale, "--dense-cap", "--dim-cap", "--out-csv", "--workers")
     p_scale.add_argument("--sizes", help="4:12 or 4,6,8")
     p_scale.add_argument("--gap-floor", dest="gap_floor", type=float)
     p_scale.set_defaults(fn=cmd_scaling)
@@ -472,7 +478,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_col.set_defaults(fn=cmd_coloring)
 
     p_val = sub.add_parser("validate", help="embedding and interaction validation")
-    common(p_val)
+    common(p_val, "--dense-cap", "--dim-cap")
     p_val.set_defaults(fn=cmd_validate)
     return parser
 

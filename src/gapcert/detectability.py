@@ -43,6 +43,9 @@ from .operators import (
 DL_DIM_CAP = 2 ** 20
 IDENTITY_RESIDUAL_TOL = 1e-12
 ABSORPTION_TOL = 1e-10
+OVERLAP_CHAIN_TOL = 1e-9
+# grid of the |F| extrema over [1 - eps, 1]
+F_GRID_POINTS = 10001
 
 
 def index_sets(t: float, lambda_extent: tuple[float, float]) -> tuple[list[int], list[int]]:
@@ -91,9 +94,6 @@ class ColumnDecomposition:
     def dim(self) -> int:
         return self.d ** len(self.region)
 
-    def support(self, m: float) -> Region:
-        return self.columns[m]
-
 
 def column_decomposition(
     phi: Interaction,
@@ -102,7 +102,6 @@ def column_decomposition(
     t: float,
     alpha: int = 0,
     allow_small_t: bool = False,
-    dim_cap: int = DL_DIM_CAP,
     dense_cap: int = DENSE_CAP,
 ) -> ColumnDecomposition:
     """Build the coarse-grained columns and their ground projectors.
@@ -117,8 +116,8 @@ def column_decomposition(
     if t < t_min - 1e-12 and not allow_small_t:
         raise AdmissibilityError(f"t = {t} below max(2, c_gamma R) = {t_min}")
     dim = phi.d ** len(region)
-    if dim > dim_cap:
-        raise DimensionCapError(f"region too large for the DL path: {dim} > {dim_cap}")
+    if dim > DL_DIM_CAP:
+        raise DimensionCapError(f"region too large for the DL path: {dim} > {DL_DIM_CAP}")
     phi_proj = reduce_to_projectors(
         Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
     )
@@ -168,7 +167,7 @@ class CommutingReport:
         return max(self.max_even, self.max_odd)
 
 
-def check_commuting(decomp: ColumnDecomposition, seed: int = 7) -> CommutingReport:
+def check_commuting(decomp: ColumnDecomposition) -> CommutingReport:
     """Norms of same-parity column projector commutators (expected ~ 0)."""
     out: dict[tuple[float, float], float] = {}
     maxima = []
@@ -180,7 +179,7 @@ def check_commuting(decomp: ColumnDecomposition, seed: int = 7) -> CommutingRepo
                 comm = Difference(
                     OperatorChain([qm, qn], decomp.dim), OperatorChain([qn, qm], decomp.dim)
                 )
-                val = matfree_norm(comm, seed=seed)
+                val = matfree_norm(comm)
                 out[(m, n_)] = val
                 worst = max(worst, val)
         maxima.append(worst)
@@ -197,10 +196,9 @@ def dl_operator(decomp: ColumnDecomposition) -> OperatorChain:
 class LayerProduct(OperatorChain):
     """T = T_L ... T_1 with T_beta the product of (1 - h_X) over layer beta."""
 
-    def __init__(self, coloring: LayerColoring, layer_factors: list[list], dim: int):
+    def __init__(self, layer_factors: list[list], dim: int):
         # product order T_L ... T_1: layer 1 acts first
         super().__init__([f for layer in reversed(layer_factors) for f in layer], dim)
-        self.coloring = coloring
         self.layer_factors = layer_factors  # index 0 = layer 1
 
     @property
@@ -208,9 +206,7 @@ class LayerProduct(OperatorChain):
         return len(self.layer_factors)
 
 
-def layer_product(
-    phi: Interaction, region: Region, coloring: LayerColoring | None = None
-) -> LayerProduct:
+def layer_product(phi: Interaction, region: Region) -> LayerProduct:
     """Assemble the layered product of term-complement projectors on a region."""
     from .operators import embedded_block
 
@@ -220,14 +216,13 @@ def layer_product(
         phi_proj = reduce_to_projectors(Interaction(contained, R=phi.R, d=phi.d))
     else:
         phi_proj = Interaction([], R=phi.R, d=phi.d)
-    if coloring is None:
-        coloring = layer_coloring(phi_proj) if phi_proj.terms else LayerColoring(1, {}, 0, 0)
+    coloring = layer_coloring(phi_proj) if phi_proj.terms else LayerColoring(1, {}, 0, 0)
     layers: list[list] = [[] for _ in range(coloring.L)]
     for idx, layer in coloring.assignment.items():
         term = phi_proj.terms[idx]
         block = np.eye(term.matrix.shape[0]) - term.matrix
         layers[layer - 1].append(embedded_block(block, term.support, region, phi.d))
-    return LayerProduct(coloring, layers, phi.d ** len(region))
+    return LayerProduct(layers, phi.d ** len(region))
 
 
 @dataclass
@@ -242,9 +237,7 @@ class StandardDLReport:
         return self.norm_sq <= self.bound + 1e-9
 
 
-def standard_dl_check(
-    T: LayerProduct, P_perp, lam: float, g: int, seed: int = 7
-) -> StandardDLReport:
+def standard_dl_check(T: LayerProduct, P_perp, lam: float, g: int) -> StandardDLReport:
     """Verify ||T P_perp||^2 <= 1 / (1 + lam / g^2).
 
     g = 0 (fully commuting interactions) is replaced by the conservative
@@ -253,7 +246,7 @@ def standard_dl_check(
     flagged = g < 1
     g_used = max(g, 1)
     chain = OperatorChain(T.factors + [P_perp], T.dim)
-    val = matfree_norm(chain, seed=seed)
+    val = matfree_norm(chain)
     bound = 1.0 / (1.0 + lam / g_used ** 2)
     return StandardDLReport(val ** 2, bound, g_used, flagged)
 
@@ -307,24 +300,22 @@ class ChebyshevStep:
         return 2.0 * math.exp(-2.0 * self.q * math.sqrt(self.gamma))
 
 
-def f_star(F, eps: float, grid_points: int = 10001) -> float:
-    """Infimum of |F| over [1 - eps, 1], grid search refined near sign changes."""
-    from scipy.optimize import brentq
+def f_star(F, eps: float) -> float:
+    """Infimum of |F| over [1 - eps, 1] on a grid.
 
+    A continuous F that changes sign between two grid points has a root
+    between them, so the infimum is then exactly 0.
+    """
     eps = min(max(eps, 0.0), 1.0)
     if eps == 0.0:
         return abs(float(F(1.0)))
-    xs = np.linspace(1.0 - eps, 1.0, grid_points)
-    vals = np.array([float(F(x)) for x in xs])
-    best = float(np.abs(vals).min())
-    signs = np.sign(vals)
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        root = brentq(lambda x: float(F(x)), xs[i], xs[i + 1], xtol=1e-15)
-        best = min(best, abs(float(F(root))))
-    return best
+    vals = np.array([float(F(x)) for x in np.linspace(1.0 - eps, 1.0, F_GRID_POINTS)])
+    if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
+        return 0.0
+    return float(np.abs(vals).min())
 
 
-def f_sup(F, eps: float, grid_points: int = 10001) -> float:
+def f_sup(F, eps: float) -> float:
     """Supremum of |F| over [1 - eps, 1] on a grid.
 
     This is the quantity that actually dominates ||F(1 - T^dag T) P_perp||
@@ -334,7 +325,7 @@ def f_sup(F, eps: float, grid_points: int = 10001) -> float:
     eps = min(max(eps, 0.0), 1.0)
     if eps == 0.0:
         return abs(float(F(1.0)))
-    xs = np.linspace(1.0 - eps, 1.0, grid_points)
+    xs = np.linspace(1.0 - eps, 1.0, F_GRID_POINTS)
     return float(max(abs(float(F(x))) for x in xs))
 
 
@@ -428,17 +419,13 @@ def smuggle_check(
     T: LayerProduct,
     F,
     c_gamma: float,
-    L: int | None = None,
-    R: float | None = None,
-    seed: int = 7,
 ) -> SmuggleReport:
     """Residual of the polynomial insertion identity for DL(t).
 
     F is a ChebyshevStep or ascending polynomial coefficients with F(0) = 1.
     Degrees beyond the printed budget are refused rather than measured.
     """
-    L = T.L if L is None else L
-    R = decomp.phi.R if R is None else R
+    L, R = T.L, decomp.phi.R
     deg = _poly_degree(F)
     if abs(_poly_at_zero(F) - 1.0) > 1e-12:
         raise ValueError("F(0) must equal 1")
@@ -453,7 +440,7 @@ def smuggle_check(
     inserted = OperatorChain(
         dl.factors[:n_even] + [_GramPolynomial(F, T)] + dl.factors[n_even:], decomp.dim
     )
-    residual = matfree_norm(Difference(dl, inserted), seed=seed)
+    residual = matfree_norm(Difference(dl, inserted))
     return SmuggleReport(residual, deg, budget, conservative, decomp.t)
 
 
@@ -499,7 +486,6 @@ def ma_mb_split(
     decomp: ColumnDecomposition,
     pair,
     g: EmbeddedGraph,
-    seed: int = 7,
 ) -> MaMbSplit:
     """Regroup the DL factors into M_A (near A-only) and M_B (the rest).
 
@@ -547,7 +533,7 @@ def ma_mb_split(
             )
             dl = dl_operator(decomp)
             diff = Difference(OperatorChain(M_A.factors + M_B.factors, decomp.dim), dl)
-            residual = matfree_norm(diff, seed=seed)
+            residual = matfree_norm(diff)
             if residual > IDENTITY_RESIDUAL_TOL:
                 continue
             return MaMbSplit(
@@ -595,8 +581,6 @@ def overlap_bound_check(
     g: EmbeddedGraph,
     pair,
     t: float,
-    seed: int = 7,
-    tol: float = 1e-9,
     dense_cap: int = DENSE_CAP,
     decomp: ColumnDecomposition | None = None,
     region_solve: SpectralData | None = None,
@@ -628,12 +612,10 @@ def overlap_bound_check(
         region_solve = spectral_data(
             hamiltonian(decomp.phi, region), dense_cap=dense_cap, with_basis=True
         )
-    lhs = pair_overlap_norm(
-        phi, pair, seed=seed, region_solve=region_solve, projectors=(P_A, P_B)
-    )
+    lhs = pair_overlap_norm(phi, pair, region_solve=region_solve, projectors=(P_A, P_B))
     if dl_perp is None:
         P_perp = ProjectorFromBasis(region_solve.kernel(), dim, complement=True)
-        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], dim), seed=seed)
+        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], dim))
 
     lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0
     L = layer_coloring(decomp.phi).L
@@ -648,7 +630,7 @@ def overlap_bound_check(
     absorption_a = absorption_dl = None
     admissible = True
     try:
-        split = ma_mb_split(decomp, pair, g, seed=seed)
+        split = ma_mb_split(decomp, pair, g)
     except AdmissibilityError:
         admissible = False
         split = None
@@ -656,12 +638,12 @@ def overlap_bound_check(
         pa_ma = Difference(
             OperatorChain([P_A] + split.M_A.factors, dim), OperatorChain([P_A], dim)
         )
-        absorption_a = matfree_norm(pa_ma, seed=seed)
+        absorption_a = matfree_norm(pa_ma)
         pa_mb = Difference(
             OperatorChain([P_A] + split.M_B.factors, dim),
             OperatorChain([P_A] + dl.factors, dim),
         )
-        absorption_dl = matfree_norm(pa_mb, seed=seed)
+        absorption_dl = matfree_norm(pa_mb)
 
     return OverlapReport(
         lhs=lhs,
@@ -675,6 +657,8 @@ def overlap_bound_check(
         admissible=admissible,
         absorption_a=absorption_a,
         absorption_dl=absorption_dl,
-        lhs_le_mid=bool(lhs <= 3.0 * dl_perp + tol),
-        dl_le_bound=(None if bound is None or bound >= 1.0 else bool(dl_perp <= bound + tol)),
+        lhs_le_mid=bool(lhs <= 3.0 * dl_perp + OVERLAP_CHAIN_TOL),
+        dl_le_bound=(
+            None if bound is None or bound >= 1.0 else bool(dl_perp <= bound + OVERLAP_CHAIN_TOL)
+        ),
     )

@@ -175,7 +175,7 @@ class EmbeddingReport:
     message: str
 
 
-def check_embedding(g: EmbeddedGraph, assert_stored: bool = False) -> EmbeddingReport:
+def check_embedding(g: EmbeddedGraph) -> EmbeddingReport:
     """Fit the smallest constant C >= 1 with C^-1 |x_i - x_j| <= d(i,j) <= C |x_i - x_j|.
 
     Exhaustive over all vertex pairs (BFS from every vertex).  Reports the
@@ -205,10 +205,7 @@ def check_embedding(g: EmbeddedGraph, assert_stored: bool = False) -> EmbeddingR
             if e == 0.0:
                 return EmbeddingReport(False, None, (v, w), "duplicate coordinates")
             c = max(c, dd / e, e / dd)
-    msg = f"fitted C over {n * (n - 1) // 2} pairs"
-    if assert_stored and c > g.c_gamma + 1e-12:
-        return EmbeddingReport(False, c, None, f"stored c_gamma {g.c_gamma} too small, need {c}")
-    return EmbeddingReport(True, c, None, msg)
+    return EmbeddingReport(True, c, None, f"fitted C over {n * (n - 1) // 2} pairs")
 
 
 def side_length(k: int, D: int) -> float:
@@ -265,12 +262,12 @@ def rectangle_members(g: EmbeddedGraph, fam: RectangleFamily) -> Region:
 
 
 def enumerate_windows(
-    g: EmbeddedGraph, k: int, *, axis_perms: bool = False, pad: int = 1
+    g: EmbeddedGraph, k: int, *, axis_perms: bool = False
 ) -> list[tuple[RectangleFamily, Region]]:
     """Family members with nonempty vertex sets, over axis-aligned integer translates.
 
     Bounded enumeration: translates range over integer shifts keeping the box
-    within `pad` of the graph's coordinate bounding box.
+    within 1 of the graph's coordinate bounding box.
     """
     import itertools
 
@@ -281,12 +278,9 @@ def enumerate_windows(
     for perm in perms:
         fam0 = RectangleFamily(k, g.D, tuple([0.0] * g.D), tuple(perm))
         sides = np.asarray(fam0.sides)
-        # any integer translate whose box can intersect the bounding box (+pad)
+        # any integer translate whose box can intersect the bounding box (+1)
         ranges = [
-            range(
-                int(math.floor(lo[a] - sides[a] - pad)),
-                int(math.ceil(hi[a] + pad)) + 1,
-            )
+            range(int(math.floor(lo[a] - sides[a] - 1)), int(math.ceil(hi[a] + 1)) + 1)
             for a in range(g.D)
         ]
         for shift in itertools.product(*ranges):
@@ -307,10 +301,6 @@ class SplitPair:
     alpha: int
     separation: int
     overlap_interval: tuple[float, float]
-
-    @property
-    def overlap(self) -> Region:
-        return make_region(set(self.A) & set(self.B))
 
 
 def projected_coords(g: EmbeddedGraph, region, alpha: int) -> set[tuple[float, ...]]:

@@ -26,7 +26,9 @@ DENSE_CAP = 1024
 SPARSE_CAP = 2 ** 24
 KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
+# start vectors of the sparse region solve
 SOLVER_SEED = 1234
+SANDWICH_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -134,10 +136,7 @@ class SpectralData:
 
 
 def spectral_data(
-    H: GlobalOperator,
-    dense_cap: int = DENSE_CAP,
-    seed: int = SOLVER_SEED,
-    with_basis: bool = False,
+    H: GlobalOperator, dense_cap: int = DENSE_CAP, with_basis: bool = False
 ) -> SpectralData:
     """Kernel and gap of H: the region solve every other entry point reads.
 
@@ -148,7 +147,7 @@ def spectral_data(
     for the gap.  The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||);
     the gap is the smallest eigenvalue above it, None when H is all kernel.
     """
-    return _region_solve(H, dense_cap, seed, with_basis)
+    return _region_solve(H, dense_cap, with_basis)
 
 
 def _kernel_tol(norm: float) -> float:
@@ -165,7 +164,7 @@ def _from_levels(w, tol: float, norm: float, solver: str, basis=None) -> Spectra
     return SpectralData(w[: kernel_dim + 1].copy(), kernel_dim, gap, norm, tol, solver, basis)
 
 
-def _region_solve(H: GlobalOperator, dense_cap: int, seed: int, with_basis: bool) -> SpectralData:
+def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
     # solve passes through exactly one public entry point
     mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
@@ -186,7 +185,7 @@ def _region_solve(H: GlobalOperator, dense_cap: int, seed: int, with_basis: bool
         norm = float(np.abs(w).max())
         tol = _kernel_tol(norm)
         return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SOLVER_SEED)
     v0 = rng.standard_normal(dim)
     try:
         norm = float(abs(spla.eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
@@ -259,13 +258,13 @@ def _block_kernel(mat, lu, tol: float, rng):
         k *= 2
 
 
-def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP, seed: int = SOLVER_SEED):
+def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):
     """Orthonormal basis of the kernel (ground space) as a (dim, r) array.
 
     The basis of the region solve (see spectral_data); sparse one-hot for
     diagonal H.  Raises EigensolverError when the kernel is empty.
     """
-    return _region_solve(H, dense_cap, seed, with_basis=True).kernel()
+    return _region_solve(H, dense_cap, with_basis=True).kernel()
 
 
 def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOperator:
@@ -289,7 +288,7 @@ def check_frustration_free(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> boo
     return spectral_data(H, dense_cap=dense_cap).kernel_dim > 0
 
 
-def operator_norm(M, hermitian: bool = False, seed: int = 7) -> float:
+def operator_norm(M, hermitian: bool = False) -> float:
     """Largest singular value of a GlobalOperator, array, sparse matrix, or
     matvec-capable object."""
     if isinstance(M, GlobalOperator):
@@ -298,13 +297,13 @@ def operator_norm(M, hermitian: bool = False, seed: int = 7) -> float:
         if M.shape[0] <= DENSE_CAP:
             M = M.toarray()
         else:
-            return matfree_norm(spla.aslinearoperator(M), seed=seed)
+            return matfree_norm(spla.aslinearoperator(M))
     if isinstance(M, np.ndarray):
         if hermitian:
             w = np.linalg.eigvalsh(M)
             return float(abs(w).max()) if w.size else 0.0
         return float(np.linalg.norm(M, 2))
-    return matfree_norm(M, seed=seed)
+    return matfree_norm(M)
 
 
 @dataclass
@@ -325,9 +324,7 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_check(
-    phi: Interaction, region: Region, tol: float = 1e-9, dense_cap: int = DENSE_CAP
-) -> SandwichReport:
+def sandwich_check(phi: Interaction, region: Region, dense_cap: int = DENSE_CAP) -> SandwichReport:
     """Verify phi_min * gap(projected H) <= gap(H) <= phi_max * gap(projected H)."""
     pmax, pmin = phi_bounds(Interaction(phi.terms_within(region), R=phi.R, d=phi.d))
     raw = spectral_data(hamiltonian(phi, region), dense_cap=dense_cap)
@@ -343,8 +340,8 @@ def sandwich_check(
         projected.gap,
         pmax,
         pmin,
-        bool(slack_lower >= -tol),
-        bool(slack_upper >= -tol),
+        bool(slack_lower >= -SANDWICH_TOL),
+        bool(slack_upper >= -SANDWICH_TOL),
         float(slack_lower),
         float(slack_upper),
     )

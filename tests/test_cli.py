@@ -258,6 +258,12 @@ class TestScalingCommand:
         assert flag in capsys.readouterr().err
 
 
+    def test_length_rejected(self, capsys):
+        code = run(["scaling", "--sizes", "4:6", "--length", "5"])
+        assert code == EXIT_CODES["config"]
+        assert "--length" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_coloring_reports(self, capsys):
         code = run(["coloring", "--model", "heisenberg_fm", "--grid", "3x3"])
@@ -314,3 +320,86 @@ class TestInputFileErrors:
         code = run(["gap", "--model", "heisenberg_fm", "--length", "3", flag, str(path)])
         assert code == EXIT_CODES["config"]
         assert message in capsys.readouterr().err
+
+
+GEOMETRY = ["--model", "heisenberg_fm", "--length", "4"]
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("gap", "--workers", "3"),
+            ("gap", "--out-json", "x.json"),
+            ("dl-check", "--dim-cap", "4"),
+            ("dl-check", "--workers", "3"),
+            ("dl-check", "--out-csv", "z.csv"),
+            ("certify", "--workers", "3"),
+            ("certify", "--out-json", "x.json"),
+            ("scaling", "--out-json", "x.json"),
+            ("coloring", "--dense-cap", "2"),
+            ("coloring", "--dim-cap", "4"),
+            ("coloring", "--workers", "3"),
+            ("coloring", "--out-csv", "y.csv"),
+            ("coloring", "--out-json", "x.json"),
+            ("validate", "--workers", "3"),
+            ("validate", "--out-csv", "y.csv"),
+            ("validate", "--out-json", "x.json"),
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, command, flag, value, tmp_path, capsys):
+        if value.endswith(("csv", "json")):
+            value = str(tmp_path / value)
+        with pytest.raises(SystemExit) as exc:
+            run([command, *GEOMETRY, flag, value])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert not list(tmp_path.iterdir())
+
+
+class TestSeedIndependence:
+    def _outputs(self, argv, flag, tmp_path):
+        out = []
+        for seed in ("1", "2"):
+            path = tmp_path / f"seed{seed}"
+            assert run(argv + ["--seed", seed, flag, str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    def test_sparse_gap_csv(self, tmp_path, capsys):
+        # dim 2048 takes the sparse path, whose start vectors are fixed
+        a, b = self._outputs(
+            ["gap", "--model", "heisenberg_fm", "--length", "11"], "--out-csv", tmp_path
+        )
+        assert a == b
+
+    def test_dl_check_json(self, tmp_path, capsys):
+        a, b = self._outputs(
+            ["dl-check", "--model", "heisenberg_fm", "--length", "12", "--t", "2",
+             "--k-min", "6", "--s", "1"], "--out-json", tmp_path,
+        )
+        assert a == b
+
+    def test_low_rank_model_reads_the_seed(self, tmp_path, capsys):
+        a, b = self._outputs(
+            ["gap", "--model", "low_rank", "--rank", "1", "--length", "6"], "--out-csv", tmp_path
+        )
+        assert a != b
+
+
+def test_dl_check_leaves_scipy_optimize_unimported():
+    import os
+    import subprocess
+    import sys
+
+    import gapcert
+
+    src = os.path.dirname(os.path.dirname(gapcert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from gapcert.cli import main\n"
+        "rc = main(['dl-check', '--model', 'commuting_toy', '--length', '10', '--t', '4'])\n"
+        "sys.exit(10 + rc if 'scipy.optimize' in sys.modules else rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -306,6 +306,10 @@ class TestFStar:
         # degree-1 step has its root at x = (1+gamma)/2 inside [0.5, 1]
         assert f_star(ChebyshevStep(1, 0.5), 0.5) <= 1e-9
 
+    def test_sign_change_is_exact_zero(self):
+        # a continuous F that changes sign on [0.1, 1] has a root there
+        assert f_star(ChebyshevStep(2, 0.3), 0.9) == 0.0
+
     def test_sup_dominates_inf(self):
         p = ChebyshevStep(4, 0.2)
         for eps in (0.1, 0.5, 0.9):
