@@ -111,6 +111,10 @@ def _load_config(args) -> fileio.RunConfig:
     cfg.update(schema_version=fileio.CONFIG_SCHEMA_VERSION)
     if getattr(args, "config", None):
         cfg = fileio.load_config(args.config)
+        # a key whose flag the subcommand lacks would be accepted and ignored
+        unread = sorted(set(cfg.values) - set(vars(args)) - {"schema_version"})
+        if unread:
+            raise ConfigError(f"config keys not read by {args.command}: {', '.join(unread)}")
     overrides = {
         k: v
         for k, v in vars(args).items()

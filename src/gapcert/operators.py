@@ -2,9 +2,9 @@
 projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above that one sparse
-LU of H + sigma drives shift-invert iterations with deterministic start
-vectors.  Hard caps guard against accidentally materializing astronomically
-large spaces.
+pivot-free symmetric LU of H + sigma drives shift-invert iterations with
+deterministic start vectors.  Hard caps guard against accidentally
+materializing astronomically large spaces.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._tensor import FactoredProjectorBlock, SiteBlockOperator, matfree_norm
-from .errors import DimensionCapError, EigensolverError, RegionError
+from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
 
@@ -28,6 +28,12 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
+# ARPACK stop of the shift-invert gap Lanczos (its default 0 means machine
+# precision, which the 1/sigma amplification of kernel round-off makes a
+# matter of luck) and its restart bound; the Ritz pair is then checked
+# against H itself
+GAP_RITZ_TOL = 1e-12
+GAP_MAX_RESTARTS = 100
 SANDWICH_TOL = 1e-9
 
 
@@ -144,8 +150,11 @@ def spectral_data(
     entries, a dense Hermitian solve when dim <= dense_cap (eigenvectors
     only when with_basis is set), and otherwise one sparse LU of H + sigma
     that drives both a block kernel iteration and a shift-invert Lanczos
-    for the gap.  The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||);
-    the gap is the smallest eigenvalue above it, None when H is all kernel.
+    for the gap, stopped at GAP_RITZ_TOL and checked by its residual in H.
+    The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the
+    smallest eigenvalue above it, None when H is all kernel.  A level below
+    minus the tolerance (H not positive semidefinite) raises
+    InteractionError on every path.
     """
     return _region_solve(H, dense_cap, with_basis)
 
@@ -155,8 +164,17 @@ def _kernel_tol(norm: float) -> float:
     return KERNEL_REL_TOL * max(1.0, norm)
 
 
+def _not_psd(detail: str) -> InteractionError:
+    return InteractionError(
+        f"Hamiltonian is not positive semidefinite ({detail}); "
+        "a frustration-free Hamiltonian is a sum of PSD terms"
+    )
+
+
 def _from_levels(w, tol: float, norm: float, solver: str, basis=None) -> SpectralData:
     """SpectralData from ascending levels that include every kernel level."""
+    if w.size and w[0] < -tol:
+        raise _not_psd(f"lowest level {w[0]:.6g}")
     kernel_dim = int((w <= tol).sum())
     above = w[w > tol]
     gap = float(above[0]) if above.size else None
@@ -194,11 +212,21 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     tol = _kernel_tol(norm)
     sigma = max(100.0 * tol, 1e-10)
     try:
+        # H + sigma is Hermitian positive definite for a frustration-free H,
+        # so diagonal pivots in a symmetric ordering are as stable as Cholesky
         lu = spla.splu(
-            (mat + sigma * sp.identity(dim, format="csr")).tocsc(), permc_spec="MMD_AT_PLUS_A"
+            (mat + sigma * sp.identity(dim, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise EigensolverError(f"eigensolver failed: factorization: {exc}") from exc
+    # P (H + sigma) P^T = L D L^H with D the pivots, so by Sylvester's law of
+    # inertia positive pivots prove H + sigma > 0; a row interchange means a
+    # zero pivot, which a positive definite matrix cannot have
+    if np.any(lu.perm_r != lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
+        raise _not_psd(f"H + {sigma:.3g} has a non-positive pivot")
     V, ritz_above = _block_kernel(mat, lu, tol, rng)
     resid = float(np.linalg.norm(mat @ V))
     if resid > 100 * tol * math.sqrt(V.shape[1]):
@@ -208,23 +236,42 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         # the block spans the whole space, so its Ritz values are exact
         return _from_levels(np.concatenate([kernel, ritz_above]), tol, norm, "sparse", V)
 
-    def deflate(x):
-        return x - V @ (V.conj().T @ x)
-
+    Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
     # ran V is invariant under (H + sigma)^-1, so deflating each image (and
     # the start vector) keeps the Krylov space in the excited subspace, where
     # the top of the spectrum is 1 / (gap + sigma)
-    op = spla.LinearOperator((dim, dim), matvec=lambda x: deflate(lu.solve(x)), dtype=mat.dtype)
+    op = spla.LinearOperator(
+        (dim, dim), matvec=lambda x: _deflate(Vf, lu.solve(x)), dtype=mat.dtype
+    )
     try:
-        mu = spla.eigsh(
-            op, k=1, which="LA", v0=deflate(v0), ncv=min(20, dim - 1), return_eigenvectors=False
-        )[0]
+        mu, x = spla.eigsh(
+            op, k=1, which="LA", v0=_deflate(Vf, v0), ncv=min(20, dim - 1),
+            tol=GAP_RITZ_TOL, maxiter=GAP_MAX_RESTARTS,
+        )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"eigensolver failed on the gap: {exc}") from exc
+    mu = mu[0]
     gap = 1.0 / mu - sigma if mu > 0 else 0.0
     if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
+    # Weyl: H has a level within the residual of gap (Kato-Temple: within
+    # residual^2 / separation), so the gap is checked, not trusted
+    x = _deflate(Vf, x[:, 0])
+    x /= np.linalg.norm(x)
+    resid = float(np.linalg.norm(mat @ x - gap * x))
+    if resid > tol:
+        raise EigensolverError(f"eigensolver failed: gap Ritz residual {resid:.3e}")
     return _from_levels(np.append(kernel, gap), tol, norm, "sparse", V)
+
+
+def _deflate(V, x):
+    """x - V V^H x for a vector x, on scipy's BLAS, the one that SuperLU and
+    ARPACK call: alternating with numpy's leaves one library's idle threads
+    spinning."""
+    if not V.shape[1]:
+        return x
+    gemv = sla.get_blas_funcs("gemv", (V, x))
+    return x - gemv(1.0, V, gemv(1.0, V, x, trans=2))
 
 
 def _block_kernel(mat, lu, tol: float, rng):
@@ -234,22 +281,32 @@ def _block_kernel(mat, lu, tol: float, rng):
     Lanczos, which structurally sheds degenerate copies), and the
     (H + sigma)^-1 transform gives an enormous kernel/excited contrast, so
     a handful of solve-and-orthogonalize rounds converge to machine level.
-    Returns (V, ritz_above): kernel basis and the Ritz values above tol
-    seen in the final block (upper bounds for the lowest excited levels).
+    When the block is too small it doubles: the previous block is kept (it
+    lies in the kernel, or already spans it) and only the appended fresh
+    columns are iterated, orthogonal to it.  Returns (V, ritz_above):
+    kernel basis and the Ritz values above tol seen in the final block
+    (upper bounds for the lowest excited levels).
     """
     dim = mat.shape[0]
+    X = np.empty((dim, 0))
     k = 16
     while True:
         k = min(k, dim)
-        X = rng.standard_normal((dim, k))
+        m = X.shape[1]
+        Y = rng.standard_normal((dim, k - m))
         if np.iscomplexobj(mat.data):
-            X = X + 1j * rng.standard_normal((dim, k))
+            Y = Y + 1j * rng.standard_normal((dim, k - m))
         for _ in range(4):
-            # scipy's QR shares the BLAS that SuperLU calls; alternating with
-            # numpy's BLAS leaves one library's idle threads spinning
-            X = sla.qr(lu.solve(X), mode="economic", overwrite_a=True)[0]
+            # the trailing columns of Q are orthonormal and orthogonal to X;
+            # scipy's QR shares the BLAS that SuperLU calls, where alternating
+            # with numpy's BLAS leaves one library's idle threads spinning
+            Y = sla.qr(np.hstack([X, lu.solve(Y)]), mode="economic", overwrite_a=True)[0][:, m:]
+        X = np.hstack([X, Y])
         T = X.conj().T @ (mat @ X)
         w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
+        if w[0] < -tol:
+            # a level in (-sigma, -tol), too shallow for the pivots to see
+            raise _not_psd(f"Ritz value {w[0]:.6g}")
         keep = w <= tol
         if (~keep).sum() >= 2 or k == dim:
             return X @ u[:, keep], w[~keep]

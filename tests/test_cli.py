@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gapcert.cli import EXIT_CODES, main
+from gapcert.fileio import format_interaction
+from gapcert.interaction import Interaction, InteractionTerm
 
 from conftest import dense_chain_hamiltonian, dense_gap, singlet_4x4
 
@@ -354,6 +356,63 @@ class TestSubcommandFlags:
             run([command, *GEOMETRY, flag, value])
         assert exc.value.code == EXIT_CODES["usage"]
         assert not list(tmp_path.iterdir())
+
+
+# config keys whose flag each subcommand lacks, with a value each key accepts
+UNREAD_CONFIG_KEYS = {
+    "gap": "alpha axis_perms conservative_g gap_floor k_max k_min out_json s s_rule sizes t "
+           "workers",
+    "dl-check": "axis_perms dim_cap gap_floor k_max out_csv s_rule sizes workers",
+    "certify": "alpha conservative_g gap_floor out_json sizes t workers",
+    "scaling": "alpha axis_perms conservative_g k_max k_min out_json s s_rule t",
+    "coloring": "alpha axis_perms conservative_g dense_cap dim_cap gap_floor k_max k_min out_csv "
+                "out_json s s_rule sizes t workers",
+    "validate": "alpha axis_perms conservative_g gap_floor k_max k_min out_csv out_json s s_rule "
+                "sizes t workers",
+}
+CONFIG_VALUES = {
+    "alpha": "0", "axis_perms": "1", "conservative_g": "1", "dense_cap": "64",
+    "dim_cap": "4096", "gap_floor": "0.05", "k_max": "6", "k_min": "6", "out_csv": "y.csv",
+    "out_json": "x.json", "s": "1", "s_rule": "const:1", "sizes": "4:6", "t": "2",
+    "workers": "1",
+}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c, keys in UNREAD_CONFIG_KEYS.items() for k in keys.split()],
+    )
+    def test_unread_key_is_config_error(self, command, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        geometry = "" if command == "scaling" else "length 4\n"
+        cfg.write_text(f"schema_version 1\nmodel heisenberg_fm\n{geometry}"
+                       f"{key} {CONFIG_VALUES[key]}\n")
+        code = run([command, "--config", str(cfg)])
+        assert code == EXIT_CODES["config"]
+        assert f"config keys not read by {command}: {key}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+NOT_PSD_BOND = np.diag([-0.3, 0.2, 0.2, -0.3])
+NOT_PSD_BOND[1, 2] = NOT_PSD_BOND[2, 1] = -0.5  # the singlet projector minus 0.3
+
+
+def _not_psd_chain_file(path, n):
+    terms = [InteractionTerm((i, i + 1), NOT_PSD_BOND if i == 0 else singlet_4x4())
+             for i in range(n - 1)]
+    path.write_text(format_interaction(Interaction(terms, R=1.0, d=2)))
+    return path
+
+
+class TestNotPositiveSemidefinite:
+    @pytest.mark.parametrize("length", [10, 11], ids=["dense", "sparse"])
+    def test_gap_exits_config(self, length, tmp_path, capsys):
+        path = _not_psd_chain_file(tmp_path / "phi.txt", length)
+        code = run(["gap", "--length", str(length), "--interaction-file", str(path)])
+        assert code == EXIT_CODES["config"]
+        assert "not positive semidefinite" in capsys.readouterr().err
 
 
 class TestSeedIndependence:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapcert import operators
 from gapcert._tensor import matfree_norm
-from gapcert.errors import DimensionCapError, EigensolverError, RegionError
+from gapcert.errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from gapcert.interaction import Interaction, InteractionTerm
 from gapcert.lattice import chain_graph, make_region
-from gapcert.models import commuting_toy, heisenberg_fm, random_low_rank
+from gapcert.models import aklt_chain, commuting_toy, heisenberg_fm, random_low_rank
 from gapcert.operators import (
     DENSE_CAP,
     GlobalOperator,
@@ -212,6 +214,106 @@ class TestSolverFailures:
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="on the gap"):
             spectral_data(H, dense_cap=8)
+
+
+class _CountedLU:
+    """A SuperLU factor that counts the right-hand sides it solves."""
+
+    def __init__(self, lu, counts):
+        self._lu = lu
+        self._counts = counts
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, b):
+        if b.ndim == 1:
+            self._counts["gap"] += 1  # the gap Lanczos solves one vector at a time
+        else:
+            self._counts["block"] += b.shape[1]
+        return self._lu.solve(b)
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    counts = {"gap": 0, "block": 0}
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: _CountedLU(real(*a, **kw), counts))
+    return counts
+
+
+SPARSE_REGIONS = {  # name -> (interaction, chain length, projector form)
+    "fm11": (lambda: heisenberg_fm(chain_graph(11)), 11, False),
+    "fm12": (lambda: heisenberg_fm(chain_graph(12)), 12, False),
+    "fm13": (lambda: heisenberg_fm(chain_graph(13)), 13, False),
+    "fm13-projector-form": (lambda: heisenberg_fm(chain_graph(13)), 13, True),
+    "aklt8": (lambda: aklt_chain(8), 8, False),
+}
+
+
+class TestSparseGapSolve:
+    @pytest.mark.parametrize("name", list(SPARSE_REGIONS))
+    def test_gap_solves_bounded_at_every_start(self, name, lu_solves, monkeypatch):
+        model, n, projector_form = SPARSE_REGIONS[name]
+        H = hamiltonian(model(), tuple(range(n)), projector_form=projector_form)
+        gaps = []
+        for seed in range(1, 11):
+            monkeypatch.setattr(operators, "SOLVER_SEED", seed)
+            lu_solves["gap"] = 0
+            sd = spectral_data(H)
+            assert sd.solver == "sparse"
+            assert lu_solves["gap"] <= 60, f"start seed {seed}: {lu_solves['gap']} gap solves"
+            gaps.append(sd.gap)
+        assert max(gaps) - min(gaps) <= 1e-12 * min(gaps)
+        if name.startswith("fm"):
+            # the FM chain gap is 1 - cos(pi / n)
+            assert gaps[0] == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-12)
+
+    def test_gap_ritz_residual_checked(self, monkeypatch):
+        real = spla.eigsh
+
+        def perturbed(A, *args, **kwargs):
+            if isinstance(A, spla.LinearOperator):  # the shift-invert gap solve
+                mu, x = real(A, *args, **kwargs)
+                return mu * (1.0 + 1e-3), x
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+        H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
+        with pytest.raises(EigensolverError, match="Ritz residual"):
+            spectral_data(H, dense_cap=8)
+
+    def test_block_kernel_keeps_its_block_when_it_doubles(self, lu_solves):
+        # kernel 127 of dim 729: blocks of 16, 32, 64, 128 are too small
+        phi, _ = random_low_rank(chain_graph(6), 2, 3, d=3)
+        sd = _check_against_dense_oracle(phi, 6, dense_cap=8)
+        assert sd.kernel_dim == 127
+        # each column of the final 256-column block is solved 4 times, and
+        # the kept columns of the smaller blocks are not solved again
+        assert lu_solves["block"] == 4 * 256
+
+
+def _shifted_fm(n, shift):
+    """FM chain with `shift` added to the all-up level, which is in the kernel."""
+    H = hamiltonian(heisenberg_fm(chain_graph(n)), tuple(range(n)))
+    H.matrix = (H.matrix + shift * sp.csr_matrix(([1.0], ([0], [0])), shape=H.matrix.shape)).tocsr()
+    return H
+
+
+class TestNotPositiveSemidefinite:
+    @pytest.mark.parametrize(
+        "build, dense_cap",
+        [
+            (lambda: _shifted_fm(6, -0.3), DENSE_CAP),
+            (lambda: GlobalOperator((0, 1), 2, np.diag([-0.3, 0.0, 1.0, 1.0])), DENSE_CAP),
+            (lambda: _shifted_fm(6, -0.3), 8),  # a negative pivot
+            (lambda: _shifted_fm(6, -1e-7), 8),  # a level in (-sigma, -tol): no pivot shows it
+        ],
+        ids=["dense", "diagonal", "sparse-pivot", "sparse-shallow"],
+    )
+    def test_negative_level_is_interaction_error(self, build, dense_cap):
+        with pytest.raises(InteractionError, match="not positive semidefinite"):
+            spectral_data(build(), dense_cap=dense_cap)
 
 
 class TestGroundProjector:
