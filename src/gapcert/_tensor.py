@@ -37,6 +37,26 @@ def _unfront(y: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.nd
     return np.ascontiguousarray(yt).reshape(-1)
 
 
+def _apply_diagonal(
+    diag: np.ndarray, positions: tuple[int, ...], n: int, d: int, x: np.ndarray
+) -> np.ndarray:
+    """x times a diagonal acting on the given factors: one broadcast multiply.
+
+    diag has length d^m in the factors' own order; it is reshaped to d on
+    the positions and 1 elsewhere, so no d^n-sized diagonal is formed.
+    """
+    shape = [1] * n
+    for p in positions:
+        shape[p] = d
+    return (x.reshape((d,) * n) * diag.reshape(shape)).reshape(-1)
+
+
+def _one_hot_columns(V) -> bool:
+    """True when every column of V has at most one stored entry (no tolerance)."""
+    counts = np.diff(sp.csc_matrix(V).indptr) if sp.issparse(V) else np.count_nonzero(V, axis=0)
+    return bool(np.all(counts <= 1))
+
+
 def embed_sparse(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> sp.csr_matrix:
     """block acting on the given factor positions, identity elsewhere (CSR)."""
     m = len(positions)
@@ -53,7 +73,8 @@ class SiteBlockOperator:
     """A small matrix acting on selected tensor factors of a d^n space.
 
     Applications go through reshape/tensordot and never materialize the
-    d^n x d^n matrix, so products of many of these stay cheap.
+    d^n x d^n matrix, so products of many of these stay cheap.  A block with
+    exact zeros off its diagonal is applied as a broadcast multiply.
     """
 
     block: np.ndarray
@@ -68,10 +89,17 @@ class SiteBlockOperator:
             raise ValueError("block dimension does not match positions")
         if list(self.positions) != sorted(set(self.positions)):
             raise ValueError("positions must be strictly increasing")
+        diag = np.diagonal(self.block)
+        self._diag = diag.copy() if np.count_nonzero(self.block) == np.count_nonzero(diag) else None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.d ** self.n, self.d ** self.n)
+
+    @property
+    def diagonal(self) -> bool:
+        """Exact zeros off the diagonal of the block."""
+        return self._diag is not None
 
     def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         m = len(self.positions)
@@ -82,9 +110,13 @@ class SiteBlockOperator:
         return np.ascontiguousarray(y).reshape(-1)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._diag is not None:
+            return _apply_diagonal(self._diag, self.positions, self.n, self.d, x)
         return self._apply(self.block, x)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        if self._diag is not None:
+            return _apply_diagonal(self._diag.conj(), self.positions, self.n, self.d, x)
         return self._apply(self.block.conj().T, x)
 
     def to_sparse(self) -> sp.csr_matrix:
@@ -101,7 +133,9 @@ class FactoredProjectorBlock:
     For kernel projectors of large sub-regions the rank is tiny compared to
     the block dimension, so applying two skinny matmuls beats storing the
     d^m x d^m projector.  The basis may be dense or sparse (one-hot kernel
-    bases of diagonal Hamiltonians stay sparse).
+    bases of diagonal Hamiltonians stay sparse).  A basis with at most one
+    stored entry per column makes V V^dag diagonal, applied as a broadcast
+    multiply.
     """
 
     basis: object  # (d^m, r) ndarray or sparse, orthonormal columns
@@ -114,12 +148,24 @@ class FactoredProjectorBlock:
         m = len(self.positions)
         if self.basis.shape[0] != self.d ** m:
             raise ValueError("basis rows do not match positions")
+        self._diag = None
+        if _one_hot_columns(self.basis):
+            V = self.basis
+            abs2 = V.multiply(V.conj()) if sp.issparse(V) else V * V.conj()
+            self._diag = np.asarray(abs2.sum(axis=1)).reshape(-1)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.d ** self.n, self.d ** self.n)
 
+    @property
+    def diagonal(self) -> bool:
+        """At most one stored entry per basis column."""
+        return self._diag is not None
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._diag is not None:
+            return _apply_diagonal(self._diag, self.positions, self.n, self.d, x)
         V = self.basis
         xf = _front(x, self.positions, self.n, self.d)
         yf = np.asarray(V @ (V.conj().T @ xf))
@@ -154,6 +200,10 @@ class OperatorChain:
     def shape(self):
         return (self.dim, self.dim)
 
+    @property
+    def diagonal(self) -> bool:
+        return all(getattr(f, "diagonal", False) for f in self.factors)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         for f in reversed(self.factors):
             x = f.matvec(x)
@@ -187,6 +237,10 @@ class Difference:
     def shape(self):
         return self.a.shape
 
+    @property
+    def diagonal(self) -> bool:
+        return getattr(self.a, "diagonal", False) and getattr(self.b, "diagonal", False)
+
     def matvec(self, x):
         return self.a.matvec(x) - self.b.matvec(x)
 
@@ -201,10 +255,16 @@ class ProjectorFromBasis:
         self.basis = basis
         self.dim = dim
         self.complement = complement
+        self._one_hot = _one_hot_columns(basis)
 
     @property
     def shape(self):
         return (self.dim, self.dim)
+
+    @property
+    def diagonal(self) -> bool:
+        """At most one stored entry per basis column."""
+        return self._one_hot
 
     def matvec(self, x):
         V = self.basis
@@ -223,12 +283,16 @@ class ProjectorFromBasis:
 def matfree_norm(op) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
-    Up to dimension 32 the matrix is built from matvec on the identity
-    columns and its norm taken densely; above, Lanczos on the Gram operator
-    op^dag op.  Raises EigensolverError when ARPACK does not converge: the
-    norm is used as an upper bound, and no cheaper estimate is one.
+    A diagonal operator (its diagonal flag set) has the largest |entry| of
+    op.matvec(ones) as its norm, exact from one apply.  Otherwise, up to
+    dimension 32 the matrix is built from matvec on the identity columns and
+    its norm taken densely; above, Lanczos on the Gram operator op^dag op.
+    Raises EigensolverError when ARPACK does not converge: the norm is used
+    as an upper bound, and no cheaper estimate is one.
     """
     n = op.shape[1]
+    if getattr(op, "diagonal", False):
+        return float(np.abs(op.matvec(np.ones(n))).max())
     if n <= 32:
         dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         return float(np.linalg.norm(dense, 2))

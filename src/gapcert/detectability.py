@@ -3,8 +3,9 @@ products, Chebyshev step polynomials, the polynomial smuggling identity, the
 refined contraction bound, and the two-sided overlap argument.
 
 Operators here are kept as products of small site-blocks and applied
-matrix-free; norms go through Lanczos on the Gram operator.  Explicit dense
-matrices are only materialized for cross-checks at small dimension.
+matrix-free; norms go through Lanczos on the Gram operator, or come exact
+from one apply when every factor is diagonal.  Explicit dense matrices are
+only materialized for cross-checks at small dimension.
 """
 
 from __future__ import annotations
@@ -366,6 +367,10 @@ class _GramPolynomial:
         self.shape = T.shape
         if not isinstance(F, ChebyshevStep):
             self.coeffs = np.atleast_1d(np.asarray(F, dtype=float))
+
+    @property
+    def diagonal(self) -> bool:
+        return self.T.diagonal
 
     def _S(self, x):
         return x - self.T.rmatvec(self.T.matvec(x))

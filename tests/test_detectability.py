@@ -599,3 +599,60 @@ def test_pperp_inf_variant_on_commuting_model():
         f_star(ChebyshevStep(q, 0.5), eps) for q in (1, 2)
     )
     assert dl_perp <= best + 1e-9
+
+
+def _dense_spectral_norm(M):
+    # a diagonal matrix's spectral norm is its largest |entry|; the SVD of the
+    # 4096-dimensional toy product would take about a minute
+    if np.count_nonzero(M) == np.count_nonzero(np.diagonal(M)):
+        return float(np.abs(np.diagonal(M)).max())
+    return float(np.linalg.norm(M, 2))
+
+
+class TestGridSupports:
+    """dl-check on 2D grids, whose columns and bonds sit on non-adjacent tensor factors."""
+
+    @pytest.mark.parametrize(
+        "model, grid, alpha, diagonal",
+        [
+            ("commuting_toy", "2x5", "0", True),
+            ("commuting_toy", "2x5", "1", True),
+            ("commuting_toy", "3x4", "1", True),
+            ("heisenberg_fm", "2x3", "0", False),
+            ("heisenberg_fm", "2x3", "1", False),
+        ],
+    )
+    def test_dl_norms_match_materialized_chain(
+        self, model, grid, alpha, diagonal, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        from gapcert import _tensor
+        from gapcert.cli import main
+
+        normed = []
+        real = _tensor.matfree_norm
+
+        def recording(op):
+            value = real(op)
+            normed.append((op, value))
+            return value
+
+        # the battery imports matfree_norm when it runs, so it calls the
+        # recorder for ||DL(t)|| and then ||DL(t) P_perp||
+        monkeypatch.setattr(_tensor, "matfree_norm", recording)
+        js = tmp_path / "dl.json"
+        argv = ["dl-check", "--model", model, "--grid", grid, "--t", "2", "--alpha", alpha]
+        assert main(argv + ["--out-json", str(js)]) == 0
+        payload = json.loads(js.read_text())
+        assert all(c["ok"] for c in payload["checks"])
+        (dl, dl_norm), (dl_p, dl_perp) = normed
+        assert dl_p.factors[:-1] == dl.factors
+        assert payload["dl_perp"] == dl_perp
+        assert dl.diagonal == dl_p.diagonal == diagonal
+        positions = [f.positions for f in dl.factors]
+        assert any(np.any(np.diff(p) > 1) for p in positions) == (alpha == "1")
+        assert abs(dl_norm - _dense_spectral_norm(dl.to_dense())) <= 1e-10
+        assert abs(dl_perp - _dense_spectral_norm(dl_p.to_dense())) <= 1e-10
+        if diagonal:
+            assert (dl_norm, dl_perp) == (1.0, 0.0)

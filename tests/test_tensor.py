@@ -4,12 +4,17 @@ Every leaf operator (SiteBlockOperator, FactoredProjectorBlock,
 ProjectorFromBasis) and every product of them is applied through
 matvec/rmatvec; these tests compare both against the materialized matrix,
 and matfree_norm against the dense spectral norm on both sides of its
-small-dimension branch (dimension 32).
+small-dimension branch (dimension 32).  Diagonal leaves (diagonal blocks,
+bases with one stored entry per column) and chains of them are checked for
+their diagonal flag and for the exact one-apply norm.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +34,10 @@ from gapcert.detectability import (
     layer_product,
 )
 from gapcert.lattice import chain_graph
-from gapcert.models import heisenberg_fm
+from gapcert.models import commuting_toy, heisenberg_fm
 
 KINDS = ("block", "factored", "projector")
+DIAGONAL_KINDS = ("diagonal block", "one-hot factored", "one-hot projector")
 
 
 def _matrix(rng, rows, cols, complex_):
@@ -44,26 +50,40 @@ def _orthonormal(rng, rows, complex_):
     return np.linalg.qr(_matrix(rng, rows, rank, complex_))[0]
 
 
+def _one_hot(rng, rows, complex_):
+    """Orthonormal basis with one stored entry per column, dense or sparse (CSC or CSR)."""
+    rank = int(rng.integers(1, rows + 1))
+    phases = np.exp(2j * np.pi * rng.random(rank)) if complex_ else rng.choice([-1.0, 1.0], rank)
+    V = sp.csc_matrix(
+        (phases, (rng.choice(rows, size=rank, replace=False), np.arange(rank))), shape=(rows, rank)
+    )
+    return [V, V.tocsr(), V.toarray()][int(rng.integers(3))]
+
+
 def _leaf(rng, kind, n, d, complex_):
-    if kind == "projector":
-        return ProjectorFromBasis(
-            _orthonormal(rng, d ** n, complex_), d ** n, complement=bool(rng.integers(2))
-        )
-    # a factored block may act on no site at all (the identity projector)
+    if kind in ("projector", "one-hot projector"):
+        basis = (_orthonormal if kind == "projector" else _one_hot)(rng, d ** n, complex_)
+        return ProjectorFromBasis(basis, d ** n, complement=bool(rng.integers(2)))
+    # a factored or diagonal block may act on no site at all
     m = int(rng.integers(1 if kind == "block" else 0, min(n, 3) + 1))
     positions = tuple(int(p) for p in sorted(rng.choice(n, size=m, replace=False)))
     if kind == "block":
         return SiteBlockOperator(_matrix(rng, d ** m, d ** m, complex_), positions, n, d)
-    return FactoredProjectorBlock(_orthonormal(rng, d ** m, complex_), positions, n, d)
+    if kind == "diagonal block":
+        # some diagonal entries exactly zero, as in the diagonal projectors of the toy model
+        diag = _matrix(rng, 1, d ** m, complex_)[0] * rng.integers(0, 2, d ** m)
+        return SiteBlockOperator(np.diag(diag), positions, n, d)
+    basis = (_orthonormal if kind == "factored" else _one_hot)(rng, d ** m, complex_)
+    return FactoredProjectorBlock(basis, positions, n, d)
 
 
 @st.composite
-def chains(draw, d=None, n=None):
-    """Random OperatorChain of up to four leaves; qutrit chains stop at n = 4."""
+def chains(draw, d=None, n=None, kinds=KINDS):
+    """Random OperatorChain of up to four leaves of the given kinds; qutrit chains stop at n = 4."""
     d = draw(st.sampled_from([2, 3])) if d is None else d
     n = draw(st.integers(1, 6 if d == 2 else 4)) if n is None else n
     complex_ = draw(st.booleans())
-    kinds = draw(st.lists(st.sampled_from(KINDS), max_size=4))
+    kinds = draw(st.lists(st.sampled_from(kinds), max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return OperatorChain([_leaf(rng, k, n, d, complex_) for k in kinds], d ** n)
 
@@ -134,3 +154,143 @@ def test_insertion_composite_without_to_dense(n, F):
     _assert_applies_match(op, dense)
     ref = float(np.linalg.norm(dense, 2))
     assert abs(matfree_norm(op) - ref) <= 1e-8 * max(1.0, ref)
+
+
+def _off_diagonal_nonzeros(dense):
+    return np.count_nonzero(dense) - np.count_nonzero(np.diagonal(dense))
+
+
+def _is_real(leaf):
+    return not np.iscomplexobj(leaf.block if isinstance(leaf, SiteBlockOperator) else leaf.basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains(kinds=KINDS + DIAGONAL_KINDS))
+def test_mixed_chain_flag_applies_and_norm(chain):
+    dense = chain.to_dense()
+    _assert_applies_match(chain, dense)
+    # the flag is structural: set exactly when every leaf is diagonal, and then
+    # the product has no off-diagonal entry (the converse fails by cancellation)
+    assert chain.diagonal == all(f.diagonal for f in chain.factors)
+    if chain.diagonal:
+        assert _off_diagonal_nonzeros(dense) == 0
+    for f in chain.factors:
+        off = _off_diagonal_nonzeros(f.to_dense())
+        if f.diagonal:
+            assert off == 0
+        if isinstance(f, SiteBlockOperator):
+            assert f.diagonal == (off == 0)
+    # real leaves applied to a real vector stay real, on both paths
+    if all(_is_real(f) for f in chain.factors):
+        x = np.random.default_rng(1).standard_normal(chain.dim)
+        assert chain.matvec(x).dtype == chain.rmatvec(x).dtype == np.float64
+    ref = float(np.linalg.norm(dense, 2))
+    tol = 1e-13 if chain.diagonal else 1e-8
+    assert abs(matfree_norm(chain) - ref) <= tol * max(1.0, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains(kinds=DIAGONAL_KINDS))
+def test_diagonal_leaves_make_diagonal_chains(chain):
+    assert chain.diagonal
+    assert all(f.diagonal for f in chain.factors)
+    assert _off_diagonal_nonzeros(chain.to_dense()) == 0
+
+
+def _no_eigsh(*args, **kwargs):
+    raise AssertionError("eigsh called on a diagonal operator")
+
+
+def _count_applies(op):
+    """Count op's matvec and rmatvec calls (instance attributes shadow the methods)."""
+    counts = {"matvec": 0, "rmatvec": 0}
+    for name in counts:
+        method = getattr(op, name)
+
+        def counted(x, name=name, method=method):
+            counts[name] += 1
+            return method(x)
+
+        setattr(op, name, counted)
+    return counts
+
+
+def _dyadic_diagonal_chain(n=8, d=2):
+    """A diagonal chain whose entries are small dyadic rationals times 1 or i.
+
+    Every product of them is exact in floating point, in any association
+    order, so the materialized matrix and the matrix-free apply agree exactly.
+    """
+    rng = np.random.default_rng(5)
+
+    def dyadic(size):
+        return rng.integers(-8, 9, size) / 8 * rng.choice([1.0, 1j], size)
+
+    def one_hot(rows, rank):
+        idx = rng.choice(rows, size=rank, replace=False)
+        values = rng.choice([1.0, -1.0, 1j], rank)
+        return sp.csc_matrix((values, (idx, np.arange(rank))), shape=(rows, rank))
+
+    factors = [
+        SiteBlockOperator(np.diag(dyadic(8)), (0, 3, 7), n, d),
+        FactoredProjectorBlock(one_hot(16, 9), (1, 2, 5, 6), n, d),
+        SiteBlockOperator(np.diag(dyadic(4)), (2, 6), n, d),
+        ProjectorFromBasis(one_hot(d ** n, 40), d ** n, complement=True),
+        SiteBlockOperator(np.diag(dyadic(2)), (4,), n, d),
+    ]
+    return OperatorChain(factors, d ** n)
+
+
+class TestDiagonalNorm:
+    def test_toy_dl_norms_from_one_apply(self, monkeypatch):
+        g = chain_graph(10)
+        toy = commuting_toy(g)
+        decomp = column_decomposition(toy, g, tuple(range(10)), 4)
+        dl = dl_operator(decomp)
+        T = layer_product(toy, tuple(range(10)))
+        n_even = len(decomp.even_indices)
+        inserted = OperatorChain(
+            dl.factors[:n_even] + [_GramPolynomial([1.0, -1.0], T)] + dl.factors[n_even:], dl.dim
+        )
+        # DL(t), the layer product, and the insertion identity's difference
+        ops = [dl, T, Difference(dl, inserted)]
+        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        for op in ops:
+            assert op.diagonal
+            counts = _count_applies(op)
+            value = matfree_norm(op)
+            assert counts == {"matvec": 1, "rmatvec": 0}
+            if hasattr(op, "to_dense"):
+                assert value == float(np.linalg.norm(op.to_dense(), 2))
+        assert matfree_norm(dl) == 1.0
+
+    def test_random_diagonal_chain_is_exact(self, monkeypatch):
+        chain = _dyadic_diagonal_chain()
+        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        assert chain.diagonal
+        counts = _count_applies(chain)
+        value = matfree_norm(chain)
+        assert counts == {"matvec": 1, "rmatvec": 0}
+        dense = chain.to_dense()
+        assert _off_diagonal_nonzeros(dense) == 0
+        assert value > 0.0
+        assert value == float(np.linalg.norm(dense, 2))
+
+    def test_tiny_off_diagonal_entry_takes_lanczos(self, monkeypatch):
+        block = np.diag([1.0, 0.5, 0.25, 2.0])
+        block[0, 1] = 1e-300
+        op = SiteBlockOperator(block, (1, 4), 6, 2)
+        foreign = spla.aslinearoperator(np.diag(np.arange(64.0)))
+        calls = []
+        real = spla.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counting)
+        assert not op.diagonal
+        assert not OperatorChain([op], 64).diagonal
+        assert matfree_norm(op) == pytest.approx(2.0, rel=1e-8)
+        assert matfree_norm(foreign) == pytest.approx(63.0, rel=1e-8)
+        assert len(calls) == 2
