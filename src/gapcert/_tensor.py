@@ -57,15 +57,59 @@ def _one_hot_columns(V) -> bool:
     return bool(np.all(counts <= 1))
 
 
-def embed_sparse(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> sp.csr_matrix:
-    """block acting on the given factor positions, identity elsewhere (CSR)."""
-    m = len(positions)
-    K = sp.kron(sp.coo_matrix(block), sp.identity(d ** (n - m), format="coo"), format="coo")
-    # K is written in the fronted factor order; perm maps its indices to plain order
-    perm = _front(np.arange(d ** n), positions, n, d).ravel()
-    out = sp.csr_matrix((K.data, (perm[K.row], perm[K.col])), shape=K.shape)
-    out.sum_duplicates()
+def _offsets(positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """Basis index of each local basis state of the given factors, digits elsewhere 0."""
+    out = np.zeros(1, dtype=np.int64)
+    for p in positions:
+        out = (out[:, None] + np.arange(d) * d ** (n - 1 - p)).ravel()
     return out
+
+
+def _diagonal_csr(diag: np.ndarray) -> sp.csr_matrix:
+    """diag(diag) in CSR, built from its nonzero entries with no index sort."""
+    idx = np.flatnonzero(diag)
+    indptr = np.zeros(diag.size + 1, dtype=idx.dtype)
+    np.cumsum(diag != 0, out=indptr[1:])
+    return sp.csr_matrix((diag[idx], idx, indptr), shape=(diag.size, diag.size))
+
+
+def embed_sum(blocks, n: int, d: int) -> sp.csr_matrix:
+    """Sum of blocks, each acting on its factor positions and identity elsewhere (CSR).
+
+    blocks is a list of (block, positions) with block d^m x d^m in the
+    factors' own order.  Every diagonal is added by broadcast into one
+    (d,)*n vector; an off-diagonal entry (r, c) of a block lands on the
+    rows offset(r) + offset(rest) and columns offset(c) + offset(rest),
+    where offset sums the digits times the place values of their factors.
+    The CSR matrix is built once and holds no explicit zeros.  Its dtype is
+    float64, or complex128 when a block is complex.
+    """
+    dtype = np.result_type(np.float64, *(np.asarray(b).dtype for b, _ in blocks))
+    diag = np.zeros((d,) * n, dtype=dtype)
+    rows, cols, vals = [], [], []
+    for block, positions in blocks:
+        block = np.asarray(block)
+        shape = [1] * n
+        for p in positions:
+            shape[p] = d
+        diag += np.diagonal(block).reshape(shape)
+        r, c = np.nonzero(block)
+        r, c = r[r != c], c[r != c]
+        if r.size:
+            local = _offsets(positions, n, d)
+            rest = _offsets(tuple(p for p in range(n) if p not in positions), n, d)
+            rows.append((local[r, None] + rest).ravel())
+            cols.append((local[c, None] + rest).ravel())
+            vals.append(np.repeat(block[r, c], rest.size))
+    H = _diagonal_csr(diag.reshape(-1))
+    if rows:
+        off = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=H.shape, dtype=dtype,
+        )
+        # off-diagonal entries never meet the diagonal; the sum drops cancelled ones
+        H = H + off
+    return H
 
 
 @dataclass(eq=False)
@@ -120,7 +164,7 @@ class SiteBlockOperator:
         return self._apply(self.block.conj().T, x)
 
     def to_sparse(self) -> sp.csr_matrix:
-        return embed_sparse(self.block, self.positions, self.n, self.d)
+        return embed_sum([(self.block, self.positions)], self.n, self.d)
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
@@ -179,7 +223,7 @@ class FactoredProjectorBlock:
         return V @ V.conj().T
 
     def to_sparse(self) -> sp.csr_matrix:
-        return embed_sparse(self.block_matrix(), self.positions, self.n, self.d)
+        return embed_sum([(self.block_matrix(), self.positions)], self.n, self.d)
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
@@ -220,8 +264,10 @@ class OperatorChain:
             raise DimensionCapError(
                 f"operator product too large to materialize: {self.dim} > {MATERIALIZE_CAP}"
             )
-        out = np.eye(self.dim)
-        for f in self.factors:
+        if not self.factors:
+            return np.eye(self.dim)
+        out = self.factors[0].to_dense()
+        for f in self.factors[1:]:
             out = out @ f.to_dense()
         return out
 

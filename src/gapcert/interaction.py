@@ -3,11 +3,12 @@ and the commutation degree used by detectability-lemma estimates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._tensor import embed_sparse
+from ._tensor import embed_sum
 from .errors import InteractionError
 from .lattice import EmbeddedGraph, Region, graph_distance, make_region
 
@@ -35,13 +36,15 @@ class InteractionTerm:
 
 @dataclass(eq=False)
 class Interaction:
-    """A finite list of terms with range R and local dimension d."""
+    """A finite list of terms with range R and local dimension d.
+
+    phi_max and phi_min (see phi_bounds; 0 when every term is zero) are
+    computed when first read.
+    """
 
     terms: list[InteractionTerm]
     R: float
     d: int
-    phi_max: float = field(init=False, default=0.0)
-    phi_min: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.d < 2:
@@ -52,8 +55,19 @@ class Interaction:
                     f"term on {term.support}: matrix shape {term.matrix.shape} "
                     f"does not match d^{len(term.support)}"
                 )
-        if any(np.linalg.norm(t.matrix) > 0 for t in self.terms):
-            self.phi_max, self.phi_min = phi_bounds(self)
+            _check_hermitian(term.matrix, f"term on {term.support}")
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[float, float]:
+        return phi_bounds(self) if self.nonzero_terms() else (0.0, 0.0)
+
+    @property
+    def phi_max(self) -> float:
+        return self._bounds[0]
+
+    @property
+    def phi_min(self) -> float:
+        return self._bounds[1]
 
     def nonzero_terms(self) -> list[InteractionTerm]:
         return [t for t in self.terms if np.linalg.norm(t.matrix) > 0]
@@ -228,8 +242,8 @@ def commutation_degree(phi: Interaction, support_only: bool = False) -> int:
             n = len(joint)
             pos_i = tuple(joint.index(v) for v in terms[i].support)
             pos_j = tuple(joint.index(v) for v in terms[j].support)
-            a = embed_sparse(terms[i].matrix, pos_i, n, phi.d)
-            b = embed_sparse(terms[j].matrix, pos_j, n, phi.d)
+            a = embed_sum([(terms[i].matrix, pos_i)], n, phi.d)
+            b = embed_sum([(terms[j].matrix, pos_j)], n, phi.d)
             comm = (a @ b - b @ a).toarray()
             if np.linalg.norm(comm, 2) > COMMUTATOR_TOL:
                 noncommuting[i] += 1

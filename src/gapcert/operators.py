@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._tensor import FactoredProjectorBlock, SiteBlockOperator, matfree_norm
+from ._tensor import FactoredProjectorBlock, SiteBlockOperator, embed_sum, matfree_norm
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
@@ -71,9 +71,8 @@ def _positions(support: Region, region: Region) -> tuple[int, ...]:
 def embed(term: InteractionTerm, region: Region, d: int) -> GlobalOperator:
     """Kronecker embedding of a term into a region: term on its factors, id elsewhere."""
     region = make_region(region)
-    pos = _positions(term.support, region)
-    op = SiteBlockOperator(np.asarray(term.matrix), pos, len(region), d)
-    return GlobalOperator(region, d, op.to_sparse())
+    block = (term.matrix, _positions(term.support, region))
+    return GlobalOperator(region, d, embed_sum([block], len(region), d))
 
 
 def check_dimension(d: int, region, cap: int = SPARSE_CAP) -> int:
@@ -96,7 +95,7 @@ def hamiltonian(
     region = make_region(region)
     if not region:
         raise RegionError("empty region")
-    dim = check_dimension(phi.d, region, cap)
+    check_dimension(phi.d, region, cap)
     source = phi
     if projector_form:
         contained = phi.terms_within(region)
@@ -104,13 +103,8 @@ def hamiltonian(
             source = reduce_to_projectors(
                 Interaction(contained, R=phi.R, d=phi.d)
             )
-    H = sp.csr_matrix((dim, dim))
-    for term in source.terms_within(region):
-        pos = _positions(term.support, region)
-        H = H + SiteBlockOperator(np.asarray(term.matrix), pos, len(region), phi.d).to_sparse()
-    if all(not np.iscomplexobj(t.matrix) for t in source.terms_within(region)):
-        H = H.astype(np.float64)
-    return GlobalOperator(region, phi.d, H.tocsr())
+    blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms_within(region)]
+    return GlobalOperator(region, phi.d, embed_sum(blocks, len(region), phi.d))
 
 
 @dataclass

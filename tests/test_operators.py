@@ -9,7 +9,7 @@ from gapcert import operators
 from gapcert._tensor import matfree_norm
 from gapcert.errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from gapcert.interaction import Interaction, InteractionTerm
-from gapcert.lattice import chain_graph, make_region
+from gapcert.lattice import chain_graph, grid_graph, make_region
 from gapcert.models import aklt_chain, commuting_toy, heisenberg_fm, random_low_rank
 from gapcert.operators import (
     DENSE_CAP,
@@ -112,6 +112,69 @@ class TestHamiltonian:
         phi = heisenberg_fm(chain_graph(4))
         H = hamiltonian(phi, tuple(range(4)))
         assert not np.iscomplexobj(H.to_dense())
+
+
+TERM_KINDS = ("dense", "diagonal", "zero diagonal", "zero")
+
+
+def _hermitian_block(rng, dim, kind, complex_, dyadic):
+    """Hermitian block of the given kind; dyadic entries make every sum exact."""
+    def draw():
+        return rng.integers(-2, 3, (dim, dim)) / 4 if dyadic else rng.standard_normal((dim, dim))
+
+    a = draw() + 1j * draw() if complex_ else draw()
+    h = a + a.conj().T
+    if kind == "diagonal":
+        # some diagonal entries exactly zero, as in the commuting toy's projectors
+        h = np.diag(np.diagonal(h) * rng.integers(0, 2, dim))
+    elif kind == "zero diagonal":
+        np.fill_diagonal(h, 0)
+    elif kind == "zero":
+        h = np.zeros_like(h)
+    return h
+
+
+@st.composite
+def interactions_in_region(draw):
+    """Terms of mixed kinds on random (often non-contiguous) supports of a chain
+    or a 2 x k grid, and a random sub-region; sometimes one term is cancelled
+    exactly by its negative."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        g = grid_graph(2, draw(st.integers(1, 3 if d == 2 else 2)))
+    else:
+        g = chain_graph(draw(st.integers(1, 6 if d == 2 else 4)))
+    sites = list(g.ids)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dyadic = draw(st.booleans())
+    terms = []
+    for kind, complex_ in draw(
+        st.lists(st.tuples(st.sampled_from(TERM_KINDS), st.booleans()), min_size=1, max_size=6)
+    ):
+        m = int(rng.integers(1, min(len(sites), 3) + 1))
+        support = make_region(rng.choice(sites, size=m, replace=False))
+        terms.append(InteractionTerm(support, _hermitian_block(rng, d ** m, kind, complex_, dyadic)))
+    if draw(st.booleans()):
+        terms.append(InteractionTerm(terms[0].support, -terms[0].matrix))
+    region = make_region(rng.choice(sites, size=int(rng.integers(1, len(sites) + 1)), replace=False))
+    return Interaction(terms, R=float(len(sites)), d=d), region
+
+
+@settings(max_examples=80, deadline=None)
+@given(interactions_in_region())
+def test_hamiltonian_matches_sum_of_dense_embeddings(case):
+    phi, region = case
+    dim = phi.d ** len(region)
+    inside = phi.terms_within(region)
+    ref = np.zeros((dim, dim), dtype=complex)
+    for t in inside:
+        ref += dense_embed(t.matrix, t.support, region, phi.d)
+    H = hamiltonian(phi, region).matrix
+    assert H.format == "csr" and H.has_canonical_format
+    real = not any(np.iscomplexobj(t.matrix) for t in inside)
+    assert H.dtype == (np.float64 if real else np.complex128)
+    assert H.nnz == np.count_nonzero(ref)
+    assert np.abs(H.toarray() - ref).max() <= 1e-14 * max(1.0, float(np.abs(ref).max()))
 
 
 class TestSpectralData:

@@ -106,6 +106,14 @@ def test_chain_applies_match_dense(chain):
     _assert_applies_match(chain, chain.to_dense())
 
 
+def test_empty_and_one_factor_chains_materialize_exactly():
+    assert np.array_equal(OperatorChain([], 8).to_dense(), np.eye(8))
+    rng = np.random.default_rng(5)
+    for kind in KINDS + DIAGONAL_KINDS:
+        leaf = _leaf(rng, kind, 3, 2, complex_=True)
+        assert np.array_equal(OperatorChain([leaf], 8).to_dense(), leaf.to_dense())
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([5, 6]).flatmap(lambda n: chains(d=2, n=n)))
 def test_matfree_norm_matches_dense_norm(chain):
