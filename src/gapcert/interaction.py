@@ -33,6 +33,29 @@ class InteractionTerm:
     def local_dim(self, d: int) -> int:
         return d ** len(self.support)
 
+    @functools.cached_property
+    def _range_projector(self) -> InteractionTerm | None:
+        """The projector onto the range, on the same support (see
+        reduce_to_projectors); None for a term with no level above
+        KERNEL_REL * ||term||.  Computed on first read."""
+        _check_hermitian(self.matrix, f"term on {self.support}")
+        w, v = np.linalg.eigh(self.matrix)
+        norm = float(abs(w).max()) if w.size else 0.0
+        if norm == 0.0:
+            return None
+        if w.min() < -PSD_TOL * max(1.0, norm):
+            raise InteractionError(
+                f"term on {self.support}: negative eigenvalue {w.min():.3e}"
+            )
+        keep = w > KERNEL_REL * norm
+        if not keep.any():
+            return None
+        V = v[:, keep]
+        proj = V @ V.conj().T
+        if not np.iscomplexobj(self.matrix):
+            proj = proj.real
+        return InteractionTerm(self.support, proj)
+
 
 @dataclass(eq=False)
 class Interaction:
@@ -134,27 +157,10 @@ def reduce_to_projectors(phi: Interaction) -> Interaction:
     """Replace every term by the orthogonal projector onto its range.
 
     Eigenvalues at or below KERNEL_REL * ||term|| are treated as kernel;
-    zero terms are dropped.  The result has phi_max == phi_min == 1.
+    zero terms are dropped.  The result has phi_max == phi_min == 1.  Each
+    term's projector is computed once and shared by every later reduction.
     """
-    new_terms = []
-    for term in phi.terms:
-        _check_hermitian(term.matrix, f"term on {term.support}")
-        w, v = np.linalg.eigh(term.matrix)
-        norm = float(abs(w).max()) if w.size else 0.0
-        if norm == 0.0:
-            continue
-        if w.min() < -PSD_TOL * max(1.0, norm):
-            raise InteractionError(
-                f"term on {term.support}: negative eigenvalue {w.min():.3e}"
-            )
-        keep = w > KERNEL_REL * norm
-        if not keep.any():
-            continue
-        V = v[:, keep]
-        proj = V @ V.conj().T
-        if np.iscomplexobj(term.matrix) is False:
-            proj = proj.real
-        new_terms.append(InteractionTerm(term.support, proj))
+    new_terms = [p for p in (term._range_projector for term in phi.terms) if p is not None]
     if not new_terms:
         raise InteractionError("empty interaction: all terms are zero")
     return Interaction(new_terms, R=phi.R, d=phi.d)

@@ -3,8 +3,10 @@ projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above that one sparse
 pivot-free symmetric LU of H + sigma drives shift-invert iterations with
-deterministic start vectors.  Hard caps guard against accidentally
-materializing astronomically large spaces.
+deterministic start vectors.  Up to 2 * DENSE_CAP, a kernel too large for
+the first sparse block is handed back to the dense solve, which is faster
+there.  Hard caps guard against accidentally materializing astronomically
+large spaces.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._tensor import FactoredProjectorBlock, SiteBlockOperator, embed_sum, matfree_norm
+from ._tensor import (
+    MATERIALIZE_CAP,
+    FactoredProjectorBlock,
+    SiteBlockOperator,
+    embed_sum,
+    matfree_norm,
+)
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
 
-DENSE_CAP = 1024
+DENSE_CAP = 512
 SPARSE_CAP = 2 ** 24
 KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
@@ -144,11 +152,15 @@ def spectral_data(
     entries, a dense Hermitian solve when dim <= dense_cap (eigenvectors
     only when with_basis is set), and otherwise one sparse LU of H + sigma
     that drives both a block kernel iteration and a shift-invert Lanczos
-    for the gap, stopped at GAP_RITZ_TOL and checked by its residual in H.
-    The kernel tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the
-    smallest eigenvalue above it, None when H is all kernel.  A level below
-    minus the tolerance (H not positive semidefinite) raises
-    InteractionError on every path.
+    for the gap, stopped at GAP_RITZ_TOL and checked by its residual in H;
+    the gap is the Ritz vector's Rayleigh quotient in H.  When dim <=
+    2 * dense_cap and one round of the first 16-column kernel block shows
+    at least 15 kernel levels, the dense solve takes over (solver
+    "dense"), so dense_cap=0 still forces the sparse path.  The kernel
+    tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the smallest
+    eigenvalue above it, None when H is all kernel.  A level below minus
+    the tolerance (H not positive semidefinite) raises InteractionError on
+    every path.
     """
     return _region_solve(H, dense_cap, with_basis)
 
@@ -176,6 +188,20 @@ def _from_levels(w, tol: float, norm: float, solver: str, basis=None) -> Spectra
     return SpectralData(w[: kernel_dim + 1].copy(), kernel_dim, gap, norm, tol, solver, basis)
 
 
+def _dense_solve(mat, with_basis: bool) -> SpectralData:
+    # numpy's LAPACK driver (syevd / heevd), called through scipy: after a
+    # sparse solve, numpy's BLAS threads would share the cores with scipy's,
+    # which spin for a while after each call
+    A = mat.toarray()
+    if with_basis:
+        w, v = sla.eigh(A, overwrite_a=True, driver="evd")
+    else:
+        w, v = sla.eigh(A, eigvals_only=True, overwrite_a=True, driver="evd"), None
+    norm = float(np.abs(w).max())
+    tol = _kernel_tol(norm)
+    return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
+
+
 def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
     # solve passes through exactly one public entry point
@@ -190,13 +216,7 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
         return _from_levels(np.sort(diag), tol, norm, "diagonal", V)
     if dim <= dense_cap:
-        if with_basis:
-            w, v = np.linalg.eigh(mat.toarray())
-        else:
-            w, v = np.linalg.eigvalsh(mat.toarray()), None
-        norm = float(np.abs(w).max())
-        tol = _kernel_tol(norm)
-        return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
+        return _dense_solve(mat, with_basis)
     rng = np.random.default_rng(SOLVER_SEED)
     v0 = rng.standard_normal(dim)
     try:
@@ -221,7 +241,12 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     # zero pivot, which a positive definite matrix cannot have
     if np.any(lu.perm_r != lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
         raise _not_psd(f"H + {sigma:.3g} has a non-positive pivot")
-    V, ritz_above = _block_kernel(mat, lu, tol, rng)
+    # up to twice the cap, a kernel that outgrows the first block is cheaper
+    # to solve densely than by doubling blocks
+    found = _block_kernel(mat, lu, tol, rng, handover=dim <= 2 * dense_cap)
+    if found is None:
+        return _dense_solve(mat, with_basis)
+    V, ritz_above = found
     resid = float(np.linalg.norm(mat @ V))
     if resid > 100 * tol * math.sqrt(V.shape[1]):
         raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
@@ -245,16 +270,21 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"eigensolver failed on the gap: {exc}") from exc
     mu = mu[0]
-    gap = 1.0 / mu - sigma if mu > 0 else 0.0
-    if gap <= tol:
+    theta = 1.0 / mu - sigma if mu > 0 else 0.0
+    if theta <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
-    # Weyl: H has a level within the residual of gap (Kato-Temple: within
-    # residual^2 / separation), so the gap is checked, not trusted
+    # Weyl: H has a level within the residual of theta, so the Ritz pair is
+    # checked, not trusted
     x = _deflate(Vf, x[:, 0])
     x /= np.linalg.norm(x)
-    resid = float(np.linalg.norm(mat @ x - gap * x))
+    Hx = mat @ x
+    resid = float(np.linalg.norm(Hx - theta * x))
     if resid > tol:
         raise EigensolverError(f"eigensolver failed: gap Ritz residual {resid:.3e}")
+    # the gap is read from H, not from 1/mu - sigma, whose 1/sigma factor
+    # amplifies round-off of the kernel basis; the Rayleigh quotient is
+    # within residual^2 / separation of a level (Kato-Temple)
+    gap = float(np.vdot(x, Hx).real)
     return _from_levels(np.append(kernel, gap), tol, norm, "sparse", V)
 
 
@@ -268,7 +298,7 @@ def _deflate(V, x):
     return x - gemv(1.0, V, gemv(1.0, V, x, trans=2))
 
 
-def _block_kernel(mat, lu, tol: float, rng):
+def _block_kernel(mat, lu, tol: float, rng, handover: bool):
     """Kernel basis of a sparse PSD matrix by shift-inverted block iteration.
 
     A random block survives every multiplicity (unlike single-vector
@@ -279,7 +309,10 @@ def _block_kernel(mat, lu, tol: float, rng):
     lies in the kernel, or already spans it) and only the appended fresh
     columns are iterated, orthogonal to it.  Returns (V, ritz_above):
     kernel basis and the Ritz values above tol seen in the final block
-    (upper bounds for the lowest excited levels).
+    (upper bounds for the lowest excited levels).  With handover set it
+    returns None instead when, after the first round, fewer than two Ritz
+    values of the first block lie above tol; by Cauchy interlacing the
+    kernel then has at least 15 levels.
     """
     dim = mat.shape[0]
     X = np.empty((dim, 0))
@@ -290,23 +323,32 @@ def _block_kernel(mat, lu, tol: float, rng):
         Y = rng.standard_normal((dim, k - m))
         if np.iscomplexobj(mat.data):
             Y = Y + 1j * rng.standard_normal((dim, k - m))
-        for _ in range(4):
+        for r in range(4):
             # the trailing columns of Q are orthonormal and orthogonal to X;
             # scipy's QR shares the BLAS that SuperLU calls, where alternating
             # with numpy's BLAS leaves one library's idle threads spinning
             Y = sla.qr(np.hstack([X, lu.solve(Y)]), mode="economic", overwrite_a=True)[0][:, m:]
+            if handover and not m and not r and (_ritz(mat, Y, tol)[0] > tol).sum() < 2:
+                return None
         X = np.hstack([X, Y])
-        T = X.conj().T @ (mat @ X)
-        w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
-        if w[0] < -tol:
-            # a level in (-sigma, -tol), too shallow for the pivots to see
-            raise _not_psd(f"Ritz value {w[0]:.6g}")
+        w, u = _ritz(mat, X, tol)
         keep = w <= tol
         if (~keep).sum() >= 2 or k == dim:
             return X @ u[:, keep], w[~keep]
         if k >= MAX_KERNEL:
             raise EigensolverError(f"kernel larger than {MAX_KERNEL}")
         k *= 2
+
+
+def _ritz(mat, X, tol: float):
+    """Ritz values and vectors of mat on the orthonormal block X; a Ritz
+    value below -tol is a level in (-sigma, -tol), too shallow for the
+    pivots to see."""
+    T = X.conj().T @ (mat @ X)
+    w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
+    if w[0] < -tol:
+        raise _not_psd(f"Ritz value {w[0]:.6g}")
+    return w, u
 
 
 def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):
@@ -321,12 +363,13 @@ def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):
 def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOperator:
     """Orthogonal projector onto the kernel of a frustration-free operator.
 
-    Materializes the dense projector, so it is gated at dense_cap; use
-    kernel_basis directly for factored large-dimension work.
+    Materializes the dense projector, so it is gated at
+    _tensor.MATERIALIZE_CAP; use kernel_basis directly for factored
+    large-dimension work.
     """
-    if H.dim > dense_cap:
+    if H.dim > MATERIALIZE_CAP:
         raise DimensionCapError(
-            f"region too large for an explicit projector (dim {H.dim} > {dense_cap})"
+            f"region too large for an explicit projector (dim {H.dim} > {MATERIALIZE_CAP})"
         )
     V = kernel_basis(H, dense_cap=dense_cap)
     if sp.issparse(V):

@@ -414,6 +414,24 @@ class TestNotPositiveSemidefinite:
         assert code == EXIT_CODES["config"]
         assert "not positive semidefinite" in capsys.readouterr().err
 
+    def test_gap_exits_config_below_dense_cap(self, tmp_path, capsys):
+        path = _not_psd_chain_file(tmp_path / "phi.txt", 9)  # dim 512: the dense solve
+        code = run(["gap", "--length", "9", "--interaction-file", str(path)])
+        assert code == EXIT_CODES["config"]
+        assert "not positive semidefinite" in capsys.readouterr().err
+
+
+def test_gap_hands_a_large_kernel_to_the_dense_solve(tmp_path, capsys):
+    # one singlet bond on 10 sites: kernel 3 * 2^8, too large for the sparse block
+    path = tmp_path / "phi.txt"
+    path.write_text(format_interaction(
+        Interaction([InteractionTerm((0, 1), singlet_4x4())], R=1.0, d=2)
+    ))
+    assert run(["gap", "--length", "10", "--interaction-file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "kernel dim 768  solver dense" in out
+    assert "gap 1" in out
+
 
 class TestSeedIndependence:
     def _outputs(self, argv, flag, tmp_path):

@@ -56,6 +56,26 @@ class TestReduceToProjectors:
         with pytest.raises(InteractionError, match="negative eigenvalue"):
             reduce_to_projectors(Interaction([term], R=0.0, d=2))
 
+    def test_each_term_projected_once(self, monkeypatch):
+        phi = heisenberg_fm(chain_graph(4))
+        real = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        first = reduce_to_projectors(phi)
+        again = reduce_to_projectors(Interaction(phi.terms[1:], R=1.0, d=2))
+        assert len(calls) == 3
+        assert again.terms == first.terms[1:]
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(np.diag([-1.0, 1.0]), "negative eigenvalue"), (np.zeros((2, 2)), "empty interaction")],
+    )
+    def test_rejected_on_every_call(self, matrix, message):
+        phi = Interaction([InteractionTerm((0,), matrix)], R=0.0, d=2)
+        for _ in range(2):
+            with pytest.raises(InteractionError, match=message):
+                reduce_to_projectors(phi)
+
     def test_result_is_idempotent_and_unit_bounds(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))

@@ -223,6 +223,56 @@ def _check_against_dense_oracle(phi, n, dense_cap):
     return sd
 
 
+def _segment_chain(lengths, complex_terms=False, seed=1):
+    """Open chain cut into decoupled segments of the given lengths: every bond
+    inside a segment carries the singlet projector, or a Haar-random rank-1
+    complex projector, and no bond joins two segments."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    start = 0
+    for m in lengths:
+        for i in range(start, start + m - 1):
+            if complex_terms:
+                z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                z /= np.linalg.norm(z)
+                terms.append(InteractionTerm((i, i + 1), np.outer(z, z.conj())))
+            else:
+                terms.append(InteractionTerm((i, i + 1), singlet_4x4()))
+        start += m
+    return Interaction(terms, R=1.0, d=2)
+
+
+CROSSOVER_REGIONS = {  # name -> (interaction, chain length, kernel dim, solver at DENSE_CAP)
+    "fm9": (lambda: heisenberg_fm(chain_graph(9)), 9, 10, "dense"),
+    "fm10": (lambda: heisenberg_fm(chain_graph(10)), 10, 11, "sparse"),
+    "random10": (lambda: _segment_chain([10], complex_terms=True), 10, 11, "sparse"),
+    # kernels the first 16-column block cannot hold are handed to the dense solve
+    "kernel36": (lambda: _segment_chain([5, 5]), 10, 36, "dense"),
+    "kernel36-complex": (lambda: _segment_chain([5, 5], complex_terms=True), 10, 36, "dense"),
+    "kernel243": (lambda: _segment_chain([2] * 5), 10, 243, "dense"),
+    "kernel768": (lambda: _segment_chain([2] + [1] * 8), 10, 768, "dense"),
+    "qutrit729": (lambda: random_low_rank(chain_graph(6), 2, 3, d=3)[0], 6, 127, "dense"),
+}
+
+
+class TestDenseCap:
+    """The solver chosen on both sides of DENSE_CAP, against the dense oracles."""
+
+    @pytest.mark.parametrize("name", list(CROSSOVER_REGIONS))
+    def test_solver_and_results(self, name):
+        model, n, kernel_dim, solver = CROSSOVER_REGIONS[name]
+        sd = _check_against_dense_oracle(model(), n, DENSE_CAP)
+        assert (sd.kernel_dim, sd.solver) == (kernel_dim, solver)
+
+    @pytest.mark.parametrize(
+        "dense_cap, solver", [(256, "dense"), (255, "sparse"), (0, "sparse")]
+    )
+    def test_handover_up_to_twice_the_cap(self, dense_cap, solver):
+        # kernel 30 of dim 512; the sparse path doubles its block to 32 columns
+        sd = _check_against_dense_oracle(_segment_chain([5, 4]), 9, dense_cap)
+        assert (sd.kernel_dim, sd.solver) == (30, solver)
+
+
 class TestRegionSolveProperties:
     """Random frustration-free chains on both sides of dense_cap against the oracles."""
 
@@ -346,9 +396,18 @@ class TestSparseGapSolve:
         with pytest.raises(EigensolverError, match="Ritz residual"):
             spectral_data(H, dense_cap=8)
 
+    def test_gap_is_read_from_h(self):
+        # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1; the
+        # shift-invert value 1/mu - sigma was off by 3.5e-10 here
+        phi = _segment_chain([2, 2, 2, 2, 1, 1])
+        sd = spectral_data(hamiltonian(phi, tuple(range(10))), dense_cap=8)
+        assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
+        assert abs(sd.gap - 1.0) <= 1e-14
+
     def test_block_kernel_keeps_its_block_when_it_doubles(self, lu_solves):
         # kernel 127 of dim 729: blocks of 16, 32, 64, 128 are too small
         phi, _ = random_low_rank(chain_graph(6), 2, 3, d=3)
+        lu_solves["block"] = 0  # the model's own frustration-free check is a region solve too
         sd = _check_against_dense_oracle(phi, 6, dense_cap=8)
         assert sd.kernel_dim == 127
         # each column of the final 256-column block is solved 4 times, and
@@ -406,6 +465,15 @@ class TestGroundProjector:
     def test_not_frustration_free(self):
         H = GlobalOperator((0,), 2, np.eye(2))
         with pytest.raises(EigensolverError, match="not frustration-free"):
+            ground_projector(H)
+
+    def test_gated_at_the_materialization_cap(self):
+        # dim 1024 is above DENSE_CAP but materializes
+        P = ground_projector(hamiltonian(heisenberg_fm(chain_graph(10)), tuple(range(10))))
+        assert np.trace(P.matrix) == pytest.approx(11.0)
+        assert np.linalg.norm(P.matrix @ P.matrix - P.matrix, 2) <= 1e-10
+        H = hamiltonian(heisenberg_fm(chain_graph(13)), tuple(range(13)))
+        with pytest.raises(DimensionCapError, match="explicit projector"):
             ground_projector(H)
 
 
