@@ -332,7 +332,9 @@ def matfree_norm(op) -> float:
     A diagonal operator (its diagonal flag set) has the largest |entry| of
     op.matvec(ones) as its norm, exact from one apply.  Otherwise, up to
     dimension 32 the matrix is built from matvec on the identity columns and
-    its norm taken densely; above, Lanczos on the Gram operator op^dag op.
+    its norm taken densely; above, Lanczos on the Gram operator op^dag op,
+    scaled to order one, so that a tiny norm converges like any other; only
+    the zero operator gets exactly 0.
     Raises EigensolverError when ARPACK does not converge: the norm is used
     as an upper bound, and no cheaper estimate is one.
     """
@@ -348,12 +350,18 @@ def matfree_norm(op) -> float:
         return op.rmatvec(op.matvec(x))
 
     v0 = rng.standard_normal(n)
-    # exactly-zero (or numerically tiny) operators break Lanczos; probe first
+    # ARPACK's stop is relative only above eps^(2/3), which the Gram operator
+    # of a tiny operator passes at once: scale it by the size of its image of
+    # v0, which is 0 only for the zero operator
     probe = gram(v0)
-    pnorm = float(np.linalg.norm(probe))
-    if pnorm <= 1e-26 * float(np.linalg.norm(v0)):
-        return float(np.sqrt(pnorm / np.linalg.norm(v0)))
-    G = spla.LinearOperator((n, n), matvec=gram, rmatvec=gram, dtype=probe.dtype)
+    scale = float(np.linalg.norm(probe) / np.linalg.norm(v0))
+    if scale == 0.0:
+        return 0.0
+
+    def scaled_gram(x):
+        return gram(x) / scale
+
+    G = spla.LinearOperator((n, n), matvec=scaled_gram, rmatvec=scaled_gram, dtype=probe.dtype)
     try:
         vals = spla.eigsh(
             G, k=1, which="LA", v0=v0, tol=NORM_TOL,
@@ -361,4 +369,4 @@ def matfree_norm(op) -> float:
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"eigensolver failed on an operator norm: {exc}") from exc
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    return float(np.sqrt(max(float(vals[-1]), 0.0) * scale))

@@ -3,10 +3,10 @@ projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above that one sparse
 pivot-free symmetric LU of H + sigma drives shift-invert iterations with
-deterministic start vectors.  Up to 2 * DENSE_CAP, a kernel too large for
-the first sparse block is handed back to the dense solve, which is faster
-there.  Hard caps guard against accidentally materializing astronomically
-large spaces.
+deterministic start vectors, the gap Lanczos stopping at its residual check
+in H.  Up to 2 * DENSE_CAP, a kernel too large for the first sparse block is
+handed back to the dense solve, which is faster there.  Hard caps guard
+against accidentally materializing astronomically large spaces.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
-# ARPACK stop of the shift-invert gap Lanczos (its default 0 means machine
-# precision, which the 1/sigma amplification of kernel round-off makes a
-# matter of luck) and its restart bound; the Ritz pair is then checked
-# against H itself
-GAP_RITZ_TOL = 1e-12
+# the shift-invert gap Lanczos: Krylov vectors kept per run, and the
+# restarts from its Ritz vector before it gives up
+GAP_LANCZOS_VECTORS = 40
 GAP_MAX_RESTARTS = 100
 SANDWICH_TOL = 1e-9
 
@@ -152,10 +150,10 @@ def spectral_data(
     entries, a dense Hermitian solve when dim <= dense_cap (eigenvectors
     only when with_basis is set), and otherwise one sparse LU of H + sigma
     that drives both a block kernel iteration and a shift-invert Lanczos
-    for the gap, stopped at GAP_RITZ_TOL and checked by its residual in H;
-    the gap is the Ritz vector's Rayleigh quotient in H.  When dim <=
-    2 * dense_cap and one round of the first 16-column kernel block shows
-    at least 15 kernel levels, the dense solve takes over (solver
+    for the gap, which stops as soon as its Ritz pair passes the residual
+    check in H; the gap is the Ritz vector's Rayleigh quotient in H.  When
+    dim <= 2 * dense_cap and one round of the first 16-column kernel block
+    shows at least 15 kernel levels, the dense solve takes over (solver
     "dense"), so dense_cap=0 still forces the sparse path.  The kernel
     tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the smallest
     eigenvalue above it, None when H is all kernel.  A level below minus
@@ -247,7 +245,11 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     if found is None:
         return _dense_solve(mat, with_basis)
     V, ritz_above = found
-    resid = float(np.linalg.norm(mat @ V))
+    # on scipy's BLAS, like the other dense products of the sparse path:
+    # numpy's threaded dot would leave its idle worker spinning on a core
+    # through the gap Lanczos
+    MV = (mat @ V).ravel()
+    resid = float(sla.get_blas_funcs("nrm2", (MV,))(MV))
     if resid > 100 * tol * math.sqrt(V.shape[1]):
         raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
     kernel = np.zeros(V.shape[1])
@@ -255,32 +257,9 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         # the block spans the whole space, so its Ritz values are exact
         return _from_levels(np.concatenate([kernel, ritz_above]), tol, norm, "sparse", V)
 
-    Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
-    # ran V is invariant under (H + sigma)^-1, so deflating each image (and
-    # the start vector) keeps the Krylov space in the excited subspace, where
-    # the top of the spectrum is 1 / (gap + sigma)
-    op = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: _deflate(Vf, lu.solve(x)), dtype=mat.dtype
-    )
-    try:
-        mu, x = spla.eigsh(
-            op, k=1, which="LA", v0=_deflate(Vf, v0), ncv=min(20, dim - 1),
-            tol=GAP_RITZ_TOL, maxiter=GAP_MAX_RESTARTS,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver failed on the gap: {exc}") from exc
-    mu = mu[0]
-    theta = 1.0 / mu - sigma if mu > 0 else 0.0
+    theta, x, Hx = _gap_lanczos(mat, lu, V, v0, sigma, tol)
     if theta <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
-    # Weyl: H has a level within the residual of theta, so the Ritz pair is
-    # checked, not trusted
-    x = _deflate(Vf, x[:, 0])
-    x /= np.linalg.norm(x)
-    Hx = mat @ x
-    resid = float(np.linalg.norm(Hx - theta * x))
-    if resid > tol:
-        raise EigensolverError(f"eigensolver failed: gap Ritz residual {resid:.3e}")
     # the gap is read from H, not from 1/mu - sigma, whose 1/sigma factor
     # amplifies round-off of the kernel basis; the Rayleigh quotient is
     # within residual^2 / separation of a level (Kato-Temple)
@@ -288,9 +267,67 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     return _from_levels(np.append(kernel, gap), tol, norm, "sparse", V)
 
 
+def _gap_lanczos(mat, lu, V, v0, sigma: float, tol: float):
+    """Lowest excited Ritz pair (theta, x, H x) of H by Lanczos on the
+    kernel-deflated (H + sigma)^-1.
+
+    ran V is invariant under (H + sigma)^-1, so deflating each image (and
+    the start vector) keeps the Krylov space in the excited subspace, where
+    the top of the spectrum is mu = 1 / (gap + sigma).  The Krylov vectors
+    are reorthogonalised in full, at most GAP_LANCZOS_VECTORS of them, and
+    after every step the top Ritz pair of the tridiagonal gives theta =
+    1/mu - sigma and the re-deflated, normalised x.  The loop stops as soon
+    as ||H x - theta x|| <= tol: by Weyl, H then has a level within tol of
+    theta, so the pair is checked, not trusted.  A full basis restarts from
+    x, at most GAP_MAX_RESTARTS times; a vanishing beta means the Krylov
+    space is invariant and its Ritz pairs exact, so no restart can help.
+    Either failure raises EigensolverError.
+    """
+    Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
+    dim = mat.shape[0]
+    m = min(GAP_LANCZOS_VECTORS, dim - Vf.shape[1])
+    Q = np.empty((dim, m), dtype=np.result_type(mat.dtype, Vf.dtype), order="F")
+    gemv, nrm2 = sla.get_blas_funcs(("gemv", "nrm2"), (Q,))
+    alpha, beta = np.empty(m), np.empty(m)
+    q = _deflate(Vf, v0)
+    for _ in range(GAP_MAX_RESTARTS):
+        Q[:, 0] = q / nrm2(q)
+        for j in range(m):
+            w = _deflate(Vf, lu.solve(Q[:, j]))
+            Qj = Q[:, : j + 1]
+            # classical Gram-Schmidt, twice, against every Krylov vector
+            h = gemv(1.0, Qj, w, trans=2)
+            w = w - gemv(1.0, Qj, h)
+            h2 = gemv(1.0, Qj, w, trans=2)
+            w = w - gemv(1.0, Qj, h2)
+            alpha[j] = (h[j] + h2[j]).real
+            beta[j] = nrm2(w)
+            mus, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j])
+            mu = mus[-1]
+            theta = 1.0 / mu - sigma if mu > 0 else 0.0
+            x = _deflate(Vf, gemv(1.0, Qj, s[:, -1]))
+            x /= nrm2(x)
+            Hx = mat @ x
+            resid = nrm2(Hx - theta * x)
+            if resid <= tol:
+                return theta, x, Hx
+            if beta[j] <= np.finfo(float).eps * mu:
+                raise EigensolverError(
+                    f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
+                    f"above {tol:.3e} in an invariant Krylov space"
+                )
+            if j + 1 < m:
+                Q[:, j + 1] = w / beta[j]
+        q = x
+    raise EigensolverError(
+        f"eigensolver failed on the gap: Ritz residual {resid:.3e} above "
+        f"{tol:.3e} after {GAP_MAX_RESTARTS} restarts"
+    )
+
+
 def _deflate(V, x):
-    """x - V V^H x for a vector x, on scipy's BLAS, the one that SuperLU and
-    ARPACK call: alternating with numpy's leaves one library's idle threads
+    """x - V V^H x for a vector x, on scipy's BLAS, the one that SuperLU
+    calls: alternating with numpy's leaves one library's idle threads
     spinning."""
     if not V.shape[1]:
         return x
@@ -334,7 +371,7 @@ def _block_kernel(mat, lu, tol: float, rng, handover: bool):
         w, u = _ritz(mat, X, tol)
         keep = w <= tol
         if (~keep).sum() >= 2 or k == dim:
-            return X @ u[:, keep], w[~keep]
+            return sla.get_blas_funcs("gemm", (X, u))(1.0, X, u[:, keep]), w[~keep]
         if k >= MAX_KERNEL:
             raise EigensolverError(f"kernel larger than {MAX_KERNEL}")
         k *= 2
@@ -343,8 +380,9 @@ def _block_kernel(mat, lu, tol: float, rng, handover: bool):
 def _ritz(mat, X, tol: float):
     """Ritz values and vectors of mat on the orthonormal block X; a Ritz
     value below -tol is a level in (-sigma, -tol), too shallow for the
-    pivots to see."""
-    T = X.conj().T @ (mat @ X)
+    pivots to see.  Products on scipy's BLAS, like the QR around them."""
+    MX = mat @ X
+    T = sla.get_blas_funcs("gemm", (X, MX))(1.0, X, MX, trans_a=2)
     w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
     if w[0] < -tol:
         raise _not_psd(f"Ritz value {w[0]:.6g}")

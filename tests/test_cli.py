@@ -40,17 +40,7 @@ class TestGapCommand:
         code = run(["gap", "--model", "heisenberg_fm"])
         assert code == EXIT_CODES["config"]
 
-    def test_gap_non_convergence_is_solver_exit(self, capsys, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        real = spla.eigsh
-
-        def gap_fails(A, *args, **kwargs):
-            if isinstance(A, spla.LinearOperator):  # the shift-invert gap solve
-                raise spla.ArpackNoConvergence("No convergence", np.empty(0), np.empty(0))
-            return real(A, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", gap_fails)
+    def test_gap_non_convergence_is_solver_exit(self, capsys, perturbed_gap_ritz_value):
         code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse
         assert code == EXIT_CODES["solver"]
         assert "eigensolver failed on the gap" in capsys.readouterr().err

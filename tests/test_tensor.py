@@ -302,3 +302,14 @@ class TestDiagonalNorm:
         assert matfree_norm(op) == pytest.approx(2.0, rel=1e-8)
         assert matfree_norm(foreign) == pytest.approx(63.0, rel=1e-8)
         assert len(calls) == 2
+
+
+def test_tiny_non_diagonal_norm_converges():
+    # the Gram operator's levels are ~1e-32, below ARPACK's absolute stop
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    dense = 1e-16 * (A + A.conj().T)
+    exact = np.linalg.norm(dense, 2)
+    # pytest.approx would pass it on its 1e-12 absolute default
+    assert abs(matfree_norm(spla.aslinearoperator(dense)) - exact) <= 1e-8 * exact
+    assert matfree_norm(spla.aslinearoperator(np.zeros((64, 64)))) == 0.0
