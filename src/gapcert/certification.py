@@ -115,7 +115,7 @@ def measure_delta_k(
     as a sampled lower estimate of the sup (exhaustive=False).
     """
     values: list[float] = []
-    skipped = 0
+    skipped = split_failed = 0
     regions = 0
     gap_min = None
     max_size = 0
@@ -129,6 +129,7 @@ def measure_delta_k(
             pairs = split_pairs(Y, k, s, g, alpha=fam.long_axis)
         except SplitError:
             skipped += 1
+            split_failed += 1
             continue
         if not phi.terms_within(Y):
             continue
@@ -150,7 +151,8 @@ def measure_delta_k(
             )
     if not values:
         raise CertificationError(
-            f"no split pairs could be generated at scale k = {k}"
+            f"no split pairs could be generated at scale k = {k}: {skipped - split_failed} windows "
+            f"skipped above the dimension cap {dim_cap}, {split_failed} for split errors"
         )
     return DeltaMeasurement(
         k, max(values), values, regions, len(values), skipped, skipped == 0,

@@ -319,12 +319,14 @@ def cmd_certify(args) -> int:
     for e, f, dm in zip(entries, cert.factors, measurements):
         running *= f
         rows.append(
-            [e.k, e.l_k, dm.max_region_size, dm.max_hilbert_dim, e.lambda_k, e.delta_k, f, running]
+            [e.k, e.l_k, dm.max_region_size, dm.max_hilbert_dim, e.lambda_k, e.delta_k, f, running,
+             int(not dm.exhaustive)]
         )
     if cfg.out_csv:
         write_csv(
             cfg.out_csv,
-            ["k", "l_k", "region_size", "hilbert_dim", "gap", "delta_k", "factor", "running_lower_bound"],
+            ["k", "l_k", "region_size", "hilbert_dim", "gap", "delta_k", "factor", "running_lower_bound",
+             "sampled"],
             rows,
         )
     certifiable = cert.certifiable and cert.tail_estimate is not None

@@ -1,12 +1,9 @@
 """Operators on tensor-product spaces: Hamiltonian assembly, spectra, ground
 projectors, operator norms, and the projector-reduction gap sandwich.
 
-Dense eigensolvers handle dimensions up to DENSE_CAP; above that one sparse
-pivot-free symmetric LU of H + sigma drives shift-invert iterations with
-deterministic start vectors, the gap Lanczos stopping at its residual check
-in H.  Up to 2 * DENSE_CAP, a kernel too large for the first sparse block is
-handed back to the dense solve, which is faster there.  Hard caps guard
-against accidentally materializing astronomically large spaces.
+Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
+grown site by site from the terms and the gap found by shift-invert Lanczos
+on one sparse LU.  Hard caps guard against materializing huge spaces.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from ._tensor import (
     matfree_norm,
 )
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
-from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
+from .interaction import PSD_TOL, Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
 
 DENSE_CAP = 512
@@ -45,11 +42,17 @@ SANDWICH_TOL = 1e-9
 
 @dataclass(eq=False)
 class GlobalOperator:
-    """Hermitian operator on the d^len(region) space of a region."""
+    """Hermitian operator on the d^len(region) space of a region.
+
+    terms lists the (block, positions) pairs whose embedded sum is matrix,
+    as hamiltonian() builds them; an operator given by its matrix alone
+    (terms None) is one term on its whole region.
+    """
 
     region: Region
     d: int
     matrix: object  # ndarray or scipy sparse
+    terms: list | None = None
 
     def __post_init__(self):
         self.region = make_region(self.region)
@@ -77,8 +80,8 @@ def _positions(support: Region, region: Region) -> tuple[int, ...]:
 def embed(term: InteractionTerm, region: Region, d: int) -> GlobalOperator:
     """Kronecker embedding of a term into a region: term on its factors, id elsewhere."""
     region = make_region(region)
-    block = (term.matrix, _positions(term.support, region))
-    return GlobalOperator(region, d, embed_sum([block], len(region), d))
+    blocks = [(term.matrix, _positions(term.support, region))]
+    return GlobalOperator(region, d, embed_sum(blocks, len(region), d), blocks)
 
 
 def check_dimension(d: int, region, cap: int = SPARSE_CAP) -> int:
@@ -110,7 +113,7 @@ def hamiltonian(
                 Interaction(contained, R=phi.R, d=phi.d)
             )
     blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms_within(region)]
-    return GlobalOperator(region, phi.d, embed_sum(blocks, len(region), phi.d))
+    return GlobalOperator(region, phi.d, embed_sum(blocks, len(region), phi.d), blocks)
 
 
 @dataclass
@@ -120,6 +123,9 @@ class SpectralData:
     eigenvalues holds the kernel levels followed by the gap level.  basis is
     an orthonormal (dim, kernel_dim) kernel basis, sparse on the diagonal
     path; the dense path leaves it None unless the caller asked for it.
+    norm is ||H|| on the dense and diagonal paths and the sum of the term
+    norms, an upper bound on ||H||, on the sparse path; kernel_tol is
+    KERNEL_REL_TOL * max(1, norm).
     """
 
     eigenvalues: np.ndarray
@@ -146,25 +152,21 @@ def spectral_data(
 ) -> SpectralData:
     """Kernel and gap of H: the region solve every other entry point reads.
 
-    The path follows H: the diagonal shortcut when H has no off-diagonal
-    entries, a dense Hermitian solve when dim <= dense_cap (eigenvectors
-    only when with_basis is set), and otherwise one sparse LU of H + sigma
-    that drives both a block kernel iteration and a shift-invert Lanczos
-    for the gap, which stops as soon as its Ritz pair passes the residual
-    check in H; the gap is the Ritz vector's Rayleigh quotient in H.  When
-    dim <= 2 * dense_cap and one round of the first 16-column kernel block
-    shows at least 15 kernel levels, the dense solve takes over (solver
-    "dense"), so dense_cap=0 still forces the sparse path.  The kernel
-    tolerance is KERNEL_REL_TOL * max(1, ||H||); the gap is the smallest
-    eigenvalue above it, None when H is all kernel.  A level below minus
-    the tolerance (H not positive semidefinite) raises InteractionError on
-    every path.
+    The diagonal shortcut when H has no off-diagonal entries; a dense solve
+    when dim <= dense_cap or H carries no terms (eigenvectors only with
+    with_basis); otherwise the kernel grown from the terms (_grown_kernel)
+    and the gap by shift-invert Lanczos on one sparse LU (_gap_lanczos).  A
+    grown kernel wider than MAX_KERNEL goes to the dense solve when dim <=
+    2 * dense_cap and raises EigensolverError otherwise.  The gap is the
+    lowest level above the kernel tolerance (see SpectralData), None when H
+    is all kernel.  A term with a level below -PSD_TOL * max(1, ||term||),
+    or a level of H below minus the tolerance, raises InteractionError.
     """
     return _region_solve(H, dense_cap, with_basis)
 
 
 def _kernel_tol(norm: float) -> float:
-    """Levels at or below this count as kernel: KERNEL_REL_TOL * max(1, ||H||)."""
+    """Levels at or below this count as kernel: KERNEL_REL_TOL * max(1, norm)."""
     return KERNEL_REL_TOL * max(1.0, norm)
 
 
@@ -200,9 +202,22 @@ def _dense_solve(mat, with_basis: bool) -> SpectralData:
     return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
 
 
+def _term_norms(terms) -> list[float]:
+    """||h|| of each (block, positions) term, which must be PSD: only then
+    is ker H the intersection of the terms' kernels."""
+    norms = []
+    for block, positions in terms:
+        w = sla.eigvalsh(block)
+        norms.append(float(np.abs(w).max()))
+        if w[0] < -PSD_TOL * max(1.0, norms[-1]):
+            raise _not_psd(f"term on factors {tuple(positions)}: level {w[0]:.6g}")
+    return norms
+
+
 def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
     # solve passes through exactly one public entry point
+    norms = None if H.terms is None else _term_norms(H.terms)
     mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
     dim = H.dim
     coo = mat.tocoo()
@@ -213,15 +228,17 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         idx = np.flatnonzero(diag <= tol)
         V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
         return _from_levels(np.sort(diag), tol, norm, "diagonal", V)
-    if dim <= dense_cap:
+    if dim <= dense_cap or norms is None:
         return _dense_solve(mat, with_basis)
-    rng = np.random.default_rng(SOLVER_SEED)
-    v0 = rng.standard_normal(dim)
-    try:
-        norm = float(abs(spla.eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]))
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver failed on ||H||: {exc}") from exc
+    norm = float(sum(norms))
     tol = _kernel_tol(norm)
+    V = _grown_kernel(H, mat, tol)
+    if V is None:
+        if dim <= 2 * dense_cap:
+            return _dense_solve(mat, with_basis)
+        raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
+    if V.shape[1] == dim:  # every level within the tolerance
+        return _from_levels(np.zeros(dim), tol, norm, "sparse", V)
     sigma = max(100.0 * tol, 1e-10)
     try:
         # H + sigma is Hermitian positive definite for a frustration-free H,
@@ -239,24 +256,7 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     # zero pivot, which a positive definite matrix cannot have
     if np.any(lu.perm_r != lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
         raise _not_psd(f"H + {sigma:.3g} has a non-positive pivot")
-    # up to twice the cap, a kernel that outgrows the first block is cheaper
-    # to solve densely than by doubling blocks
-    found = _block_kernel(mat, lu, tol, rng, handover=dim <= 2 * dense_cap)
-    if found is None:
-        return _dense_solve(mat, with_basis)
-    V, ritz_above = found
-    # on scipy's BLAS, like the other dense products of the sparse path:
-    # numpy's threaded dot would leave its idle worker spinning on a core
-    # through the gap Lanczos
-    MV = (mat @ V).ravel()
-    resid = float(sla.get_blas_funcs("nrm2", (MV,))(MV))
-    if resid > 100 * tol * math.sqrt(V.shape[1]):
-        raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
-    kernel = np.zeros(V.shape[1])
-    if V.shape[1] + ritz_above.size == dim:
-        # the block spans the whole space, so its Ritz values are exact
-        return _from_levels(np.concatenate([kernel, ritz_above]), tol, norm, "sparse", V)
-
+    v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
     theta, x, Hx = _gap_lanczos(mat, lu, V, v0, sigma, tol)
     if theta <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
@@ -264,7 +264,54 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
     # amplifies round-off of the kernel basis; the Rayleigh quotient is
     # within residual^2 / separation of a level (Kato-Temple)
     gap = float(np.vdot(x, Hx).real)
-    return _from_levels(np.append(kernel, gap), tol, norm, "sparse", V)
+    return _from_levels(np.append(np.zeros(V.shape[1]), gap), tol, norm, "sparse", V)
+
+
+def _grown_kernel(H: GlobalOperator, mat, tol: float):
+    """Orthonormal basis of ker H grown from its terms, as a Fortran-ordered
+    (dim, r) array; None once it is wider than MAX_KERNEL.
+
+    For PSD terms ker H is the intersection of the terms' kernels, which
+    Bravyi's quantum 2-SAT algorithm builds site by site: V starts as C^d,
+    each further factor takes V (x) 1_d, and the terms whose last factor it
+    is are imposed there, keeping the eigenvectors of the sum of their
+    V^H h V at or below tol.  One Rayleigh-Ritz step of H (mat) on V ends
+    it: levels above tol leave the kernel, and the rest must pass ||H V||
+    <= 100 tol sqrt(r).  Every product is on scipy's BLAS, the one SuperLU
+    calls; V.T is C-ordered, so none of them copies V.
+    """
+    n, d, dtype = len(H.region), H.d, mat.dtype
+    arriving = [[] for _ in range(n)]
+    for block, positions in H.terms:
+        arriving[max(positions, default=0)].append((np.asarray(block, dtype=dtype), positions))
+    gemm, nrm2 = sla.get_blas_funcs(("gemm", "nrm2"), dtype=dtype)
+    V = np.eye(d, dtype=dtype, order="F")
+    for k in range(n):
+        if k:
+            V = np.kron(V.T, np.eye(d)).T
+        if arriving[k] and V.shape[1]:
+            G = sum(_local_gram(gemm, V, h, positions, k + 1, d) for h, positions in arriving[k])
+            w, u = sla.eigh(G, overwrite_a=True)
+            V = gemm(1.0, V, u[:, w <= tol])
+        if V.shape[1] > MAX_KERNEL:
+            return None
+    MV = mat @ V
+    w, u = sla.eigh(gemm(1.0, V, MV, trans_a=2), overwrite_a=True)
+    V, MV = gemm(1.0, V, u[:, w <= tol]), gemm(1.0, MV, u[:, w <= tol]).ravel(order="K")
+    resid = float(nrm2(MV)) if MV.size else 0.0
+    if resid > 100 * tol * math.sqrt(V.shape[1]):
+        raise EigensolverError(f"eigensolver failed: kernel residual {resid:.3e}")
+    return V
+
+
+def _local_gram(gemm, V, h, positions, n: int, d: int):
+    """V^H h V for h on the given factors of the first n, by one apply of h
+    to the columns of V as rows, with h's factors moved last."""
+    r, m = V.shape[1], len(positions)
+    axes = [1 + p for p in positions]
+    X = np.moveaxis(V.T.reshape((r,) + (d,) * n), axes, range(n + 1 - m, n + 1)).reshape(-1, d ** m)
+    hX = gemm(1.0, h, X.T).T  # the rows h x, C-ordered
+    return gemm(1.0, X.reshape(r, -1).T, hX.reshape(r, -1).T, trans_a=2)
 
 
 def _gap_lanczos(mat, lu, V, v0, sigma: float, tol: float):
@@ -333,60 +380,6 @@ def _deflate(V, x):
         return x
     gemv = sla.get_blas_funcs("gemv", (V, x))
     return x - gemv(1.0, V, gemv(1.0, V, x, trans=2))
-
-
-def _block_kernel(mat, lu, tol: float, rng, handover: bool):
-    """Kernel basis of a sparse PSD matrix by shift-inverted block iteration.
-
-    A random block survives every multiplicity (unlike single-vector
-    Lanczos, which structurally sheds degenerate copies), and the
-    (H + sigma)^-1 transform gives an enormous kernel/excited contrast, so
-    a handful of solve-and-orthogonalize rounds converge to machine level.
-    When the block is too small it doubles: the previous block is kept (it
-    lies in the kernel, or already spans it) and only the appended fresh
-    columns are iterated, orthogonal to it.  Returns (V, ritz_above):
-    kernel basis and the Ritz values above tol seen in the final block
-    (upper bounds for the lowest excited levels).  With handover set it
-    returns None instead when, after the first round, fewer than two Ritz
-    values of the first block lie above tol; by Cauchy interlacing the
-    kernel then has at least 15 levels.
-    """
-    dim = mat.shape[0]
-    X = np.empty((dim, 0))
-    k = 16
-    while True:
-        k = min(k, dim)
-        m = X.shape[1]
-        Y = rng.standard_normal((dim, k - m))
-        if np.iscomplexobj(mat.data):
-            Y = Y + 1j * rng.standard_normal((dim, k - m))
-        for r in range(4):
-            # the trailing columns of Q are orthonormal and orthogonal to X;
-            # scipy's QR shares the BLAS that SuperLU calls, where alternating
-            # with numpy's BLAS leaves one library's idle threads spinning
-            Y = sla.qr(np.hstack([X, lu.solve(Y)]), mode="economic", overwrite_a=True)[0][:, m:]
-            if handover and not m and not r and (_ritz(mat, Y, tol)[0] > tol).sum() < 2:
-                return None
-        X = np.hstack([X, Y])
-        w, u = _ritz(mat, X, tol)
-        keep = w <= tol
-        if (~keep).sum() >= 2 or k == dim:
-            return sla.get_blas_funcs("gemm", (X, u))(1.0, X, u[:, keep]), w[~keep]
-        if k >= MAX_KERNEL:
-            raise EigensolverError(f"kernel larger than {MAX_KERNEL}")
-        k *= 2
-
-
-def _ritz(mat, X, tol: float):
-    """Ritz values and vectors of mat on the orthonormal block X; a Ritz
-    value below -tol is a level in (-sigma, -tol), too shallow for the
-    pivots to see.  Products on scipy's BLAS, like the QR around them."""
-    MX = mat @ X
-    T = sla.get_blas_funcs("gemm", (X, MX))(1.0, X, MX, trans_a=2)
-    w, u = np.linalg.eigh((T + T.conj().T) / 2.0)
-    if w[0] < -tol:
-        raise _not_psd(f"Ritz value {w[0]:.6g}")
-    return w, u
 
 
 def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):

@@ -117,6 +117,18 @@ class TestMeasureDelta:
         assert dm.skipped_regions > 0
         assert not dm.exhaustive
 
+    @pytest.mark.parametrize(
+        "s, dim_cap, reason",
+        [(1, 2 ** 10, "7 windows skipped above the dimension cap 1024, 0 for split errors"),
+         (6, 2 ** 16, "0 windows skipped above the dimension cap 65536, 7 for split errors")],
+        ids=["dim-cap", "split"],
+    )
+    def test_every_window_skipped_names_the_reasons(self, s, dim_cap, reason):
+        g = chain_graph(16)
+        with pytest.raises(CertificationError) as info:
+            measure_delta_k(commuting_toy(g), g, 6, s, dim_cap=dim_cap)
+        assert str(info.value) == f"no split pairs could be generated at scale k = 6: {reason}"
+
 
 class TestCertify:
     def test_zero_deltas_infinite_s(self):

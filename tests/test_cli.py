@@ -153,8 +153,9 @@ class TestCertifyCommand:
         assert "certified lower bound" in out
         bound = float(out.split("certified lower bound:")[1].split()[0])
         assert bound > 0.0
-        header = csv.read_text().splitlines()[0]
-        assert header == "k,l_k,region_size,hilbert_dim,gap,delta_k,factor,running_lower_bound"
+        header, row = csv.read_text().splitlines()
+        assert header == "k,l_k,region_size,hilbert_dim,gap,delta_k,factor,running_lower_bound,sampled"
+        assert row.endswith(",0")  # every window of scale 6 was tested
 
     def test_fm_chain_not_certifiable(self, capsys):
         code = run(
@@ -166,13 +167,17 @@ class TestCertifyCommand:
         assert "delta_k=" in out  # the trend is shown
         assert "not certifiable" in out
 
-    def test_skipped_windows_flagged_sampled(self, capsys):
+    def test_skipped_windows_flagged_sampled(self, capsys, tmp_path):
+        csv = tmp_path / "cert.csv"
         code = run(
             ["certify", "--model", "commuting_toy", "--length", "16",
-             "--k-min", "6", "--k-max", "6", "--s", "1", "--dim-cap", str(2 ** 13)]
+             "--k-min", "6", "--k-max", "6", "--s", "1", "--dim-cap", str(2 ** 13),
+             "--out-csv", str(csv)]
         )
         assert code == EXIT_CODES["not_certifiable"]
         assert "[sampled]" in capsys.readouterr().out
+        header, row = csv.read_text().splitlines()
+        assert header.endswith(",sampled") and row.endswith(",1")
 
     @pytest.mark.parametrize(
         "argv",
@@ -389,9 +394,9 @@ NOT_PSD_BOND = np.diag([-0.3, 0.2, 0.2, -0.3])
 NOT_PSD_BOND[1, 2] = NOT_PSD_BOND[2, 1] = -0.5  # the singlet projector minus 0.3
 
 
-def _not_psd_chain_file(path, n):
+def _not_psd_chain_file(path, n, extra=()):
     terms = [InteractionTerm((i, i + 1), NOT_PSD_BOND if i == 0 else singlet_4x4())
-             for i in range(n - 1)]
+             for i in range(n - 1)] + list(extra)
     path.write_text(format_interaction(Interaction(terms, R=1.0, d=2)))
     return path
 
@@ -410,9 +415,19 @@ class TestNotPositiveSemidefinite:
         assert code == EXIT_CODES["config"]
         assert "not positive semidefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", [9, 11], ids=["dim512", "dim2048"])
+    def test_non_psd_term_of_a_psd_sum_exits_config(self, length, tmp_path, capsys):
+        # NOT_PSD_BOND plus 0.3 on the same bond sum to the FM chain, which is
+        # PSD; the term itself is not, on either side of DENSE_CAP
+        shift = InteractionTerm((0, 1), 0.3 * np.eye(4))
+        path = _not_psd_chain_file(tmp_path / "phi.txt", length, [shift])
+        code = run(["gap", "--length", str(length), "--interaction-file", str(path)])
+        assert code == EXIT_CODES["config"]
+        assert "not positive semidefinite (term on factors (0, 1)" in capsys.readouterr().err
+
 
 def test_gap_hands_a_large_kernel_to_the_dense_solve(tmp_path, capsys):
-    # one singlet bond on 10 sites: kernel 3 * 2^8, too large for the sparse block
+    # one singlet bond on 10 sites: kernel 3 * 2^8, wider than MAX_KERNEL
     path = tmp_path / "phi.txt"
     path.write_text(format_interaction(
         Interaction([InteractionTerm((0, 1), singlet_4x4())], R=1.0, d=2)

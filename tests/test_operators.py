@@ -246,12 +246,13 @@ CROSSOVER_REGIONS = {  # name -> (interaction, chain length, kernel dim, solver 
     "fm9": (lambda: heisenberg_fm(chain_graph(9)), 9, 10, "dense"),
     "fm10": (lambda: heisenberg_fm(chain_graph(10)), 10, 11, "sparse"),
     "random10": (lambda: _segment_chain([10], complex_terms=True), 10, 11, "sparse"),
-    # kernels the first 16-column block cannot hold are handed to the dense solve
-    "kernel36": (lambda: _segment_chain([5, 5]), 10, 36, "dense"),
-    "kernel36-complex": (lambda: _segment_chain([5, 5], complex_terms=True), 10, 36, "dense"),
-    "kernel243": (lambda: _segment_chain([2] * 5), 10, 243, "dense"),
+    # the grown kernel stays sparse up to MAX_KERNEL = 512 columns
+    "kernel36": (lambda: _segment_chain([5, 5]), 10, 36, "sparse"),
+    "kernel36-complex": (lambda: _segment_chain([5, 5], complex_terms=True), 10, 36, "sparse"),
+    "kernel243": (lambda: _segment_chain([2] * 5), 10, 243, "sparse"),
+    # a wider one goes to the dense solve up to 2 * DENSE_CAP
     "kernel768": (lambda: _segment_chain([2] + [1] * 8), 10, 768, "dense"),
-    "qutrit729": (lambda: random_low_rank(chain_graph(6), 2, 3, d=3)[0], 6, 127, "dense"),
+    "qutrit729": (lambda: random_low_rank(chain_graph(6), 2, 3, d=3)[0], 6, 127, "sparse"),
 }
 
 
@@ -264,13 +265,22 @@ class TestDenseCap:
         sd = _check_against_dense_oracle(model(), n, DENSE_CAP)
         assert (sd.kernel_dim, sd.solver) == (kernel_dim, solver)
 
-    @pytest.mark.parametrize(
-        "dense_cap, solver", [(256, "dense"), (255, "sparse"), (0, "sparse")]
-    )
-    def test_handover_up_to_twice_the_cap(self, dense_cap, solver):
-        # kernel 30 of dim 512; the sparse path doubles its block to 32 columns
+    @pytest.mark.parametrize("dense_cap, solver", [(512, "dense"), (511, None), (0, None)])
+    def test_wide_kernel_handover_up_to_twice_the_cap(self, dense_cap, solver):
+        # one singlet bond on 10 sites: kernel 768 of dim 1024, wider than MAX_KERNEL
+        phi = _segment_chain([2] + [1] * 8)
+        if solver is None:
+            with pytest.raises(EigensolverError, match="kernel larger than 512"):
+                spectral_data(hamiltonian(phi, tuple(range(10))), dense_cap=dense_cap)
+        else:
+            sd = _check_against_dense_oracle(phi, 10, dense_cap)
+            assert (sd.kernel_dim, sd.solver) == (768, solver)
+
+    @pytest.mark.parametrize("dense_cap", [256, 255, 0])
+    def test_kernel_below_max_kernel_stays_sparse(self, dense_cap):
+        # kernel 30 of dim 512: no handover at any cap below the dimension
         sd = _check_against_dense_oracle(_segment_chain([5, 4]), 9, dense_cap)
-        assert (sd.kernel_dim, sd.solver) == (30, solver)
+        assert (sd.kernel_dim, sd.solver) == (30, "sparse")
 
 
 class TestRegionSolveProperties:
@@ -302,6 +312,61 @@ class TestRegionSolveProperties:
         phi, _ = random_low_rank(chain_graph(n), 1, seed=3)
         sd = _check_against_dense_oracle(phi, n, DENSE_CAP)
         assert sd.solver == "sparse"
+
+
+@st.composite
+def grown_kernel_cases(draw):
+    """A chain or a 2 x k grid with PSD terms on random one- and two-site
+    supports (on the grid often non-contiguous factors), each annihilating
+    one random product state, so the kernel is not empty; sometimes a site
+    carries no term, and sometimes a positive definite term frustrates it."""
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        g = grid_graph(2, draw(st.integers(2, 4 if d == 2 else 2)))
+    else:
+        g = chain_graph(draw(st.integers(2, 8 if d == 2 else 5)))
+    sites = list(g.ids)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    complex_ = draw(st.booleans())
+
+    def unit(shape):
+        z = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
+        return z / np.linalg.norm(z, axis=0)
+
+    product = {v: unit(d) for v in sites}
+    used = [v for v in sites if v != sites[-1]] if draw(st.booleans()) else sites
+    terms = []
+    for _ in range(draw(st.integers(1, 2 * len(sites)))):
+        support = make_region(rng.choice(used, size=min(len(used), int(rng.integers(1, 3))), replace=False))
+        phi_s = product[support[0]]
+        for v in support[1:]:
+            phi_s = np.kron(phi_s, product[v])
+        rank = int(rng.integers(1, d ** len(support)))
+        Z = unit((d ** len(support), rank))
+        Q = np.linalg.qr(Z - np.outer(phi_s, phi_s.conj() @ Z))[0]
+        terms.append(InteractionTerm(support, (Q * rng.uniform(0.5, 2.0, rank)) @ Q.conj().T))
+    if draw(st.sampled_from([False, False, True])):
+        A = unit((d, d))
+        terms.append(InteractionTerm((used[0],), A @ A.conj().T + 0.1 * np.eye(d)))
+    return Interaction(terms, R=float(len(sites)), d=d), make_region(sites)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grown_kernel_cases())
+def test_grown_kernel_and_gap_match_dense_oracles(case):
+    phi, region = case
+    H = hamiltonian(phi, region)
+    Hd = sum(dense_embed(t.matrix, t.support, region, phi.d) for t in phi.terms)
+    sd = spectral_data(H, dense_cap=8, with_basis=True)
+    assert sd.solver == ("sparse" if H.dim > 8 else "dense")
+    P = dense_ground_projector(Hd)
+    assert sd.kernel_dim == round(np.trace(P).real)
+    V = sd.basis
+    assert np.linalg.norm(V @ V.conj().T - P, 2) <= 1e-8
+    gap = dense_gap(Hd)
+    assert (sd.gap is None) == (gap is None)
+    if gap is not None:
+        assert sd.gap == pytest.approx(gap, rel=1e-9)
 
 
 class TestSolverFailures:
@@ -403,22 +468,21 @@ class TestSparseGapSolve:
         assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
         assert abs(sd.gap - 1.0) <= 1e-14
 
-    def test_block_kernel_keeps_its_block_when_it_doubles(self, lu_solves):
-        # kernel 127 of dim 729: blocks of 16, 32, 64, 128 are too small
+    def test_grown_kernel_makes_no_block_solves(self, lu_solves):
+        # kernel 127 of dim 729
         phi, _ = random_low_rank(chain_graph(6), 2, 3, d=3)
-        lu_solves["block"] = 0  # the model's own frustration-free check is a region solve too
         sd = _check_against_dense_oracle(phi, 6, dense_cap=8)
-        assert sd.kernel_dim == 127
-        # each column of the final 256-column block is solved 4 times, and
-        # the kept columns of the smaller blocks are not solved again
-        assert lu_solves["block"] == 4 * 256
+        assert (sd.kernel_dim, sd.solver) == (127, "sparse")
+        # the kernel comes from the terms; the LU solves only the gap's vectors
+        assert lu_solves["block"] == 0
 
 
 def _shifted_fm(n, shift):
-    """FM chain with `shift` added to the all-up level, which is in the kernel."""
+    """FM chain with `shift` added to the all-up level, which is in the kernel,
+    as a bare matrix: no term list to disagree with it."""
     H = hamiltonian(heisenberg_fm(chain_graph(n)), tuple(range(n)))
-    H.matrix = (H.matrix + shift * sp.csr_matrix(([1.0], ([0], [0])), shape=H.matrix.shape)).tocsr()
-    return H
+    shifted = H.matrix + shift * sp.csr_matrix(([1.0], ([0], [0])), shape=H.matrix.shape)
+    return GlobalOperator(H.region, H.d, shifted.tocsr())
 
 
 class TestNotPositiveSemidefinite:
@@ -427,14 +491,27 @@ class TestNotPositiveSemidefinite:
         [
             (lambda: _shifted_fm(6, -0.3), DENSE_CAP),
             (lambda: GlobalOperator((0, 1), 2, np.diag([-0.3, 0.0, 1.0, 1.0])), DENSE_CAP),
-            (lambda: _shifted_fm(6, -0.3), 8),  # a negative pivot
-            (lambda: _shifted_fm(6, -1e-7), 8),  # a level in (-sigma, -tol): no pivot shows it
+            # an operator without terms takes the dense solve at any cap
+            (lambda: _shifted_fm(6, -0.3), 8),
+            (lambda: _shifted_fm(6, -1e-7), 8),  # a level just below minus the tolerance
         ],
         ids=["dense", "diagonal", "sparse-pivot", "sparse-shallow"],
     )
     def test_negative_level_is_interaction_error(self, build, dense_cap):
         with pytest.raises(InteractionError, match="not positive semidefinite"):
             spectral_data(build(), dense_cap=dense_cap)
+
+    @pytest.mark.parametrize("dense_cap", [DENSE_CAP, 8])
+    def test_non_psd_term_is_interaction_error_on_both_sides(self, dense_cap):
+        # the singlet projector split into a non-PSD term and 0.3 on the same
+        # bond: H is the PSD FM chain, but its terms are not all PSD
+        shifted = singlet_4x4() - 0.3 * np.eye(4)
+        terms = [InteractionTerm((0, 1), shifted), InteractionTerm((0, 1), 0.3 * np.eye(4))]
+        terms += [InteractionTerm((i, i + 1), singlet_4x4()) for i in range(1, 5)]
+        H = hamiltonian(Interaction(terms, R=1.0, d=2), tuple(range(6)))
+        assert np.linalg.eigvalsh(H.to_dense())[0] >= -1e-12
+        with pytest.raises(InteractionError, match="not positive semidefinite"):
+            spectral_data(H, dense_cap=dense_cap)
 
 
 class TestGroundProjector:
