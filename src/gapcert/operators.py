@@ -2,8 +2,8 @@
 projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
-grown site by site from the terms and the gap found by shift-invert Lanczos
-on one sparse LU.  Hard caps guard against materializing huge spaces.
+grown site by site from the terms and the gap found by Lanczos on H deflated
+against it.  Hard caps guard against materializing huge spaces.
 """
 
 from __future__ import annotations
@@ -33,20 +33,22 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
-# the shift-invert gap Lanczos: Krylov vectors kept per run, and the
-# restarts from its Ritz vector before it gives up
-GAP_LANCZOS_VECTORS = 40
+# the gap Lanczos: Krylov vectors kept per run, the restarts from its Ritz
+# vector before it gives up, and the steps between reads of its Ritz estimate
+GAP_LANCZOS_VECTORS = 300
 GAP_MAX_RESTARTS = 100
+GAP_CHECK_STEPS = 8
 SANDWICH_TOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GlobalOperator:
     """Hermitian operator on the d^len(region) space of a region.
 
     terms lists the (block, positions) pairs whose embedded sum is matrix,
     as hamiltonian() builds them; an operator given by its matrix alone
-    (terms None) is one term on its whole region.
+    (terms None) is one term on its whole region.  Frozen: the sparse solve
+    reads the terms, so the matrix must not drift from them.
     """
 
     region: Region
@@ -55,7 +57,7 @@ class GlobalOperator:
     terms: list | None = None
 
     def __post_init__(self):
-        self.region = make_region(self.region)
+        object.__setattr__(self, "region", make_region(self.region))
         dim = self.d ** len(self.region)
         if self.matrix.shape != (dim, dim):
             raise RegionError(
@@ -125,7 +127,9 @@ class SpectralData:
     path; the dense path leaves it None unless the caller asked for it.
     norm is ||H|| on the dense and diagonal paths and the sum of the term
     norms, an upper bound on ||H||, on the sparse path; kernel_tol is
-    KERNEL_REL_TOL * max(1, norm).
+    KERNEL_REL_TOL * max(1, norm).  A sparse gap is a Ritz value with a
+    residual in H at most kernel_tol: it proves a level that close, not that
+    no lower excited level was missed, which only the dense solve rules out.
     """
 
     eigenvalues: np.ndarray
@@ -155,12 +159,13 @@ def spectral_data(
     The diagonal shortcut when H has no off-diagonal entries; a dense solve
     when dim <= dense_cap or H carries no terms (eigenvectors only with
     with_basis); otherwise the kernel grown from the terms (_grown_kernel)
-    and the gap by shift-invert Lanczos on one sparse LU (_gap_lanczos).  A
+    and the gap by Lanczos on H deflated against it (_gap_lanczos).  A
     grown kernel wider than MAX_KERNEL goes to the dense solve when dim <=
     2 * dense_cap and raises EigensolverError otherwise.  The gap is the
     lowest level above the kernel tolerance (see SpectralData), None when H
     is all kernel.  A term with a level below -PSD_TOL * max(1, ||term||),
-    or a level of H below minus the tolerance, raises InteractionError.
+    or on the dense and diagonal paths a level of H below minus the
+    tolerance, raises InteractionError.
     """
     return _region_solve(H, dense_cap, with_basis)
 
@@ -239,31 +244,12 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
     if V.shape[1] == dim:  # every level within the tolerance
         return _from_levels(np.zeros(dim), tol, norm, "sparse", V)
-    sigma = max(100.0 * tol, 1e-10)
-    try:
-        # H + sigma is Hermitian positive definite for a frustration-free H,
-        # so diagonal pivots in a symmetric ordering are as stable as Cholesky
-        lu = spla.splu(
-            (mat + sigma * sp.identity(dim, format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise EigensolverError(f"eigensolver failed: factorization: {exc}") from exc
-    # P (H + sigma) P^T = L D L^H with D the pivots, so by Sylvester's law of
-    # inertia positive pivots prove H + sigma > 0; a row interchange means a
-    # zero pivot, which a positive definite matrix cannot have
-    if np.any(lu.perm_r != lu.perm_c) or np.any(lu.U.diagonal().real <= 0):
-        raise _not_psd(f"H + {sigma:.3g} has a non-positive pivot")
+    # the terms are PSD (_term_norms) and sum to mat, so H is PSD and its
+    # lowest level on ran(V)^perp is the gap
     v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
-    theta, x, Hx = _gap_lanczos(mat, lu, V, v0, sigma, tol)
-    if theta <= tol:
+    gap, _, _ = _gap_lanczos(mat, V, v0, tol)
+    if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
-    # the gap is read from H, not from 1/mu - sigma, whose 1/sigma factor
-    # amplifies round-off of the kernel basis; the Rayleigh quotient is
-    # within residual^2 / separation of a level (Kato-Temple)
-    gap = float(np.vdot(x, Hx).real)
     return _from_levels(np.append(np.zeros(V.shape[1]), gap), tol, norm, "sparse", V)
 
 
@@ -277,8 +263,8 @@ def _grown_kernel(H: GlobalOperator, mat, tol: float):
     is are imposed there, keeping the eigenvectors of the sum of their
     V^H h V at or below tol.  One Rayleigh-Ritz step of H (mat) on V ends
     it: levels above tol leave the kernel, and the rest must pass ||H V||
-    <= 100 tol sqrt(r).  Every product is on scipy's BLAS, the one SuperLU
-    calls; V.T is C-ordered, so none of them copies V.
+    <= 100 tol sqrt(r).  Every product is on scipy's BLAS, as in the gap
+    Lanczos; V.T is C-ordered, so none of them copies V.
     """
     n, d, dtype = len(H.region), H.d, mat.dtype
     arriving = [[] for _ in range(n)]
@@ -314,51 +300,62 @@ def _local_gram(gemm, V, h, positions, n: int, d: int):
     return gemm(1.0, X.reshape(r, -1).T, hX.reshape(r, -1).T, trans_a=2)
 
 
-def _gap_lanczos(mat, lu, V, v0, sigma: float, tol: float):
-    """Lowest excited Ritz pair (theta, x, H x) of H by Lanczos on the
-    kernel-deflated (H + sigma)^-1.
+def _gap_lanczos(mat, V, v0, tol: float):
+    """Lowest excited Ritz pair (theta, x, H x) of H by Lanczos on ran(V)^perp.
 
-    ran V is invariant under (H + sigma)^-1, so deflating each image (and
-    the start vector) keeps the Krylov space in the excited subspace, where
-    the top of the spectrum is mu = 1 / (gap + sigma).  The Krylov vectors
-    are reorthogonalised in full, at most GAP_LANCZOS_VECTORS of them, and
-    after every step the top Ritz pair of the tridiagonal gives theta =
-    1/mu - sigma and the re-deflated, normalised x.  The loop stops as soon
-    as ||H x - theta x|| <= tol: by Weyl, H then has a level within tol of
-    theta, so the pair is checked, not trusted.  A full basis restarts from
-    x, at most GAP_MAX_RESTARTS times; a vanishing beta means the Krylov
-    space is invariant and its Ritz pairs exact, so no restart can help.
-    Either failure raises EigensolverError.
+    A step is the three-term recurrence, one classical Gram-Schmidt pass
+    against every Krylov vector (a second only when the first left less than
+    1/sqrt(2) of the norm: Daniel-Gragg-Kaufman-Stewart) and the deflation
+    again, without which the kernel leaks back in.  Every GAP_CHECK_STEPS
+    steps, once the Ritz estimate beta |s_last| is at most tol / 2, x is
+    formed, re-deflated and normalised, and theta is its Rayleigh quotient;
+    the loop stops when ||H x - theta x|| <= tol, so by Weyl H has a level
+    within tol of theta: the pair is checked, not trusted.  A full basis
+    restarts from x, at most GAP_MAX_RESTARTS times; that or a vanishing
+    beta (an invariant Krylov space) without a passing check raises
+    EigensolverError.
     """
     Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
     dim = mat.shape[0]
     m = min(GAP_LANCZOS_VECTORS, dim - Vf.shape[1])
-    Q = np.empty((dim, m), dtype=np.result_type(mat.dtype, Vf.dtype), order="F")
-    gemv, nrm2 = sla.get_blas_funcs(("gemv", "nrm2"), (Q,))
+    dtype = np.result_type(mat.dtype, Vf.dtype)
+    try:
+        Q = np.empty((dim, m), dtype=dtype, order="F")
+    except MemoryError:
+        raise DimensionCapError(
+            f"region too large for the gap Lanczos: dim {dim} with {m} Krylov vectors "
+            f"({dim * m * dtype.itemsize / 1e9:.3g} GB)"
+        ) from None
+    gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), (Q,))
     alpha, beta = np.empty(m), np.empty(m)
     q = _deflate(Vf, v0)
     for _ in range(GAP_MAX_RESTARTS):
         Q[:, 0] = q / nrm2(q)
         for j in range(m):
-            w = _deflate(Vf, lu.solve(Q[:, j]))
-            Qj = Q[:, : j + 1]
-            # classical Gram-Schmidt, twice, against every Krylov vector
-            h = gemv(1.0, Qj, w, trans=2)
-            w = w - gemv(1.0, Qj, h)
-            h2 = gemv(1.0, Qj, w, trans=2)
-            w = w - gemv(1.0, Qj, h2)
-            alpha[j] = (h[j] + h2[j]).real
-            beta[j] = nrm2(w)
-            mus, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j])
-            mu = mus[-1]
-            theta = 1.0 / mu - sigma if mu > 0 else 0.0
-            x = _deflate(Vf, gemv(1.0, Qj, s[:, -1]))
-            x /= nrm2(x)
-            Hx = mat @ x
-            resid = nrm2(Hx - theta * x)
-            if resid <= tol:
-                return theta, x, Hx
-            if beta[j] <= np.finfo(float).eps * mu:
+            w = mat @ Q[:, j]
+            alpha[j] = dotc(Q[:, j], w).real
+            w -= alpha[j] * Q[:, j]
+            if j:
+                w -= beta[j - 1] * Q[:, j - 1]
+            Qj, before = Q[:, : j + 1], nrm2(w)
+            for _ in range(2):  # the second pass only when DGKS asks for it
+                w = _deflate(Vf, w - gemv(1.0, Qj, gemv(1.0, Qj, w, trans=2)))
+                beta[j] = nrm2(w)
+                if beta[j] >= before / math.sqrt(2.0):
+                    break
+            invariant = beta[j] <= np.finfo(float).eps * np.abs(alpha[: j + 1]).max()
+            last = invariant or j + 1 == m
+            if last or (j + 1) % GAP_CHECK_STEPS == 0:
+                _, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
+                if last or beta[j] * abs(s[-1, 0]) <= tol / 2:
+                    x = _deflate(Vf, gemv(1.0, Qj, s[:, 0]))
+                    x /= nrm2(x)
+                    Hx = mat @ x
+                    theta = dotc(x, Hx).real
+                    resid = nrm2(Hx - theta * x)
+                    if resid <= tol:
+                        return theta, x, Hx
+            if invariant:
                 raise EigensolverError(
                     f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
                     f"above {tol:.3e} in an invariant Krylov space"
@@ -373,9 +370,9 @@ def _gap_lanczos(mat, lu, V, v0, sigma: float, tol: float):
 
 
 def _deflate(V, x):
-    """x - V V^H x for a vector x, on scipy's BLAS, the one that SuperLU
-    calls: alternating with numpy's leaves one library's idle threads
-    spinning."""
+    """x - V V^H x for a vector x, on scipy's BLAS, the one the rest of the
+    sparse solve calls: alternating with numpy's leaves one library's idle
+    threads spinning."""
     if not V.shape[1]:
         return x
     gemv = sla.get_blas_funcs("gemv", (V, x))

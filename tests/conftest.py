@@ -76,16 +76,16 @@ def singlet_4x4():
 
 
 @pytest.fixture
-def perturbed_gap_ritz_value(monkeypatch):
-    """Every Ritz value of the sparse gap Lanczos 1e-3 off, so that no Ritz
-    pair passes the residual check in H."""
+def perturbed_gap_ritz_vector(monkeypatch):
+    """Every tridiagonal eigenvector of the sparse gap Lanczos 1e-3 off, so
+    that no Ritz vector it forms passes the residual check in H."""
     import scipy.linalg as sla
 
     real = sla.eigh_tridiagonal
 
     def perturbed(*args, **kwargs):
         w, s = real(*args, **kwargs)
-        return w * (1.0 + 1e-3), s
+        return w, s + 1e-3
 
     monkeypatch.setattr(sla, "eigh_tridiagonal", perturbed)
 

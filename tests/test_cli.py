@@ -40,7 +40,22 @@ class TestGapCommand:
         code = run(["gap", "--model", "heisenberg_fm"])
         assert code == EXIT_CODES["config"]
 
-    def test_gap_non_convergence_is_solver_exit(self, capsys, perturbed_gap_ritz_value):
+    def test_krylov_basis_out_of_memory_is_too_large(self, capsys, monkeypatch):
+        real = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if kwargs.get("order") == "F" and len(shape) == 2 and shape[1] == 300:
+                raise MemoryError  # the gap Lanczos basis, and nothing else
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse
+        err = capsys.readouterr().err
+        assert code == EXIT_CODES["too_large"]
+        assert "dim 2048 with 300 Krylov vectors (0.00492 GB)" in err
+        assert "Traceback" not in err
+
+    def test_gap_non_convergence_is_solver_exit(self, capsys, perturbed_gap_ritz_vector):
         code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse
         assert code == EXIT_CODES["solver"]
         assert "eigensolver failed on the gap" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -91,6 +93,15 @@ class TestHamiltonian:
         H = hamiltonian(phi, (0, 1))
         w = np.linalg.eigvalsh(H.to_dense())
         assert np.allclose(w, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+    def test_operator_is_frozen(self):
+        # the sparse solve reads the terms, so the matrix must not move away
+        # from them
+        H = hamiltonian(heisenberg_fm(chain_graph(4)), (0, 1, 2, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            H.matrix = 2 * H.matrix
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            H.terms = None
 
     def test_four_site_kernel_dimension(self):
         phi = heisenberg_fm(chain_graph(4))
@@ -389,55 +400,53 @@ class TestSolverFailures:
             spectral_data(H, dense_cap=8)
 
 
-class _CountedLU:
-    """A SuperLU factor that counts the right-hand sides it solves."""
+class _CountedMatrix:
+    """H as the gap Lanczos sees it, counting its products with vectors."""
 
-    def __init__(self, lu, counts):
-        self._lu = lu
+    def __init__(self, mat, counts):
+        self._mat = mat
         self._counts = counts
+        self.dtype, self.shape = mat.dtype, mat.shape
 
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-    def solve(self, b):
-        if b.ndim == 1:
-            self._counts["gap"] += 1  # the gap Lanczos solves one vector at a time
-        else:
-            self._counts["block"] += b.shape[1]
-        return self._lu.solve(b)
+    def __matmul__(self, x):
+        self._counts["gap"] += 1
+        return self._mat @ x
 
 
 @pytest.fixture
-def lu_solves(monkeypatch):
-    counts = {"gap": 0, "block": 0}
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **kw: _CountedLU(real(*a, **kw), counts))
+def gap_matvecs(monkeypatch):
+    counts = {"gap": 0}
+    real = operators._gap_lanczos
+    monkeypatch.setattr(
+        operators, "_gap_lanczos", lambda mat, *a: real(_CountedMatrix(mat, counts), *a)
+    )
     return counts
 
 
-SPARSE_REGIONS = {  # name -> (interaction, chain length, projector form, gap solves)
-    "fm11": (lambda: heisenberg_fm(chain_graph(11)), 11, False, 15),
-    "fm12": (lambda: heisenberg_fm(chain_graph(12)), 12, False, 15),
-    "fm13": (lambda: heisenberg_fm(chain_graph(13)), 13, False, 15),
-    "fm13-projector-form": (lambda: heisenberg_fm(chain_graph(13)), 13, True, 15),
-    "aklt8": (lambda: aklt_chain(8), 8, False, 35),
-    "random10": (lambda: _segment_chain([10], complex_terms=True), 10, False, 40),
+SPARSE_REGIONS = {  # name -> (interaction, chain length, projector form, gap matvecs)
+    "fm11": (lambda: heisenberg_fm(chain_graph(11)), 11, False, 130),
+    "fm12": (lambda: heisenberg_fm(chain_graph(12)), 12, False, 130),
+    "fm13": (lambda: heisenberg_fm(chain_graph(13)), 13, False, 130),
+    "fm13-projector-form": (lambda: heisenberg_fm(chain_graph(13)), 13, True, 130),
+    "aklt8": (lambda: aklt_chain(8), 8, False, 130),
+    # a single run of GAP_LANCZOS_VECTORS, no restart
+    "random10": (lambda: _segment_chain([10], complex_terms=True), 10, False, 300),
 }
 
 
 class TestSparseGapSolve:
     @pytest.mark.parametrize("name", list(SPARSE_REGIONS))
-    def test_gap_solves_bounded_at_every_start(self, name, lu_solves, monkeypatch):
-        model, n, projector_form, max_solves = SPARSE_REGIONS[name]
+    def test_gap_solves_bounded_at_every_start(self, name, gap_matvecs, monkeypatch):
+        model, n, projector_form, max_matvecs = SPARSE_REGIONS[name]
         H = hamiltonian(model(), tuple(range(n)), projector_form=projector_form)
         gaps = []
         for seed in range(1, 11):
             monkeypatch.setattr(operators, "SOLVER_SEED", seed)
-            lu_solves["gap"] = 0
+            gap_matvecs["gap"] = 0
             sd = spectral_data(H)
             assert sd.solver == "sparse"
-            assert lu_solves["gap"] <= max_solves, (
-                f"start seed {seed}: {lu_solves['gap']} gap solves"
+            assert gap_matvecs["gap"] <= max_matvecs, (
+                f"start seed {seed}: {gap_matvecs['gap']} gap matvecs"
             )
             gaps.append(sd.gap)
         assert max(gaps) - min(gaps) <= 1e-12 * min(gaps)
@@ -446,35 +455,38 @@ class TestSparseGapSolve:
             assert gaps[0] == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["fm11", "aklt8"])
-    def test_restarts_keep_the_gap(self, name, lu_solves, monkeypatch):
+    def test_restarts_keep_the_gap(self, name, gap_matvecs, monkeypatch):
         model, n, _, _ = SPARSE_REGIONS[name]
         H = hamiltonian(model(), tuple(range(n)))
         gap = spectral_data(H).gap
-        monkeypatch.setattr(operators, "GAP_LANCZOS_VECTORS", 4)
-        lu_solves["gap"] = 0
+        monkeypatch.setattr(operators, "GAP_LANCZOS_VECTORS", 20)
+        gap_matvecs["gap"] = 0
         assert spectral_data(H).gap == pytest.approx(gap, rel=1e-12)
-        assert lu_solves["gap"] > 4  # it did restart
+        # one run makes at most 20 products plus one per formed Ritz vector
+        assert gap_matvecs["gap"] > 2 * 20  # it did restart
 
-    def test_gap_ritz_residual_checked(self, perturbed_gap_ritz_value):
+    def test_gap_ritz_residual_checked(self, perturbed_gap_ritz_vector):
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="Ritz residual"):
             spectral_data(H, dense_cap=8)
 
     def test_gap_is_read_from_h(self):
-        # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1; the
-        # shift-invert value 1/mu - sigma was off by 3.5e-10 here
+        # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1
         phi = _segment_chain([2, 2, 2, 2, 1, 1])
         sd = spectral_data(hamiltonian(phi, tuple(range(10))), dense_cap=8)
         assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
         assert abs(sd.gap - 1.0) <= 1e-14
 
-    def test_grown_kernel_makes_no_block_solves(self, lu_solves):
+    def test_grown_kernel_makes_no_block_solves(self, monkeypatch):
+        factored = []
+        monkeypatch.setattr(spla, "splu", lambda *a, **kw: factored.append(a))
         # kernel 127 of dim 729
         phi, _ = random_low_rank(chain_graph(6), 2, 3, d=3)
         sd = _check_against_dense_oracle(phi, 6, dense_cap=8)
         assert (sd.kernel_dim, sd.solver) == (127, "sparse")
-        # the kernel comes from the terms; the LU solves only the gap's vectors
-        assert lu_solves["block"] == 0
+        # the kernel comes from the terms and the gap from products with H:
+        # nothing is factored
+        assert factored == []
 
 
 def _shifted_fm(n, shift):
