@@ -3,7 +3,8 @@ projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
 grown site by site from the terms and the gap found by Lanczos on H deflated
-against it.  Hard caps guard against materializing huge spaces.
+against it, without reorthogonalisation: its Ritz pair is checked by its
+residual instead.  Hard caps guard against materializing huge spaces.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
-# the gap Lanczos: Krylov vectors kept per run, the restarts from its Ritz
-# vector before it gives up, and the steps between reads of its Ritz estimate
+# the gap Lanczos: Krylov vectors per run, the runs and the restarts in a row
+# without a lower residual before it gives up, and the steps between Ritz reads
 GAP_LANCZOS_VECTORS = 300
 GAP_MAX_RESTARTS = 100
+GAP_STALLED_RESTARTS = 3
 GAP_CHECK_STEPS = 8
 SANDWICH_TOL = 1e-9
 
@@ -303,17 +305,17 @@ def _local_gram(gemm, V, h, positions, n: int, d: int):
 def _gap_lanczos(mat, V, v0, tol: float):
     """Lowest excited Ritz pair (theta, x, H x) of H by Lanczos on ran(V)^perp.
 
-    A step is the three-term recurrence, one classical Gram-Schmidt pass
-    against every Krylov vector (a second only when the first left less than
-    1/sqrt(2) of the norm: Daniel-Gragg-Kaufman-Stewart) and the deflation
-    again, without which the kernel leaks back in.  Every GAP_CHECK_STEPS
-    steps, once the Ritz estimate beta |s_last| is at most tol / 2, x is
-    formed, re-deflated and normalised, and theta is its Rayleigh quotient;
-    the loop stops when ||H x - theta x|| <= tol, so by Weyl H has a level
-    within tol of theta: the pair is checked, not trusted.  A full basis
-    restarts from x, at most GAP_MAX_RESTARTS times; that or a vanishing
-    beta (an invariant Krylov space) without a passing check raises
-    EigensolverError.
+    A step is the three-term recurrence and the deflation against V, without
+    which the kernel leaks back in; no Gram-Schmidt against the Krylov basis,
+    whose lost orthogonality only duplicates converged Ritz values (Paige).
+    The pair is checked, not trusted: every GAP_CHECK_STEPS steps, once the
+    Ritz estimate beta |s_last| is at most tol / 2, x = Q s is formed,
+    re-deflated and normalised, and theta is its Rayleigh quotient; the loop
+    stops when ||H x - theta x|| <= tol, so by Weyl H has a level within tol
+    of theta.  A full basis restarts from x.  A vanishing beta (an invariant
+    Krylov space), GAP_STALLED_RESTARTS restarts in a row without a lower
+    checked residual, or GAP_MAX_RESTARTS runs, all without a passing check,
+    raise EigensolverError.
     """
     Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
     dim = mat.shape[0]
@@ -328,33 +330,36 @@ def _gap_lanczos(mat, V, v0, tol: float):
         ) from None
     gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), (Q,))
     alpha, beta = np.empty(m), np.empty(m)
-    q = _deflate(Vf, v0)
-    for _ in range(GAP_MAX_RESTARTS):
+
+    def deflate(x):  # x - V V^H x, on scipy's BLAS as every product here
+        return x - gemv(1.0, Vf, gemv(1.0, Vf, x, trans=2)) if Vf.shape[1] else x
+
+    q = deflate(v0)
+    best, stalled = math.inf, 0
+    for restarts in range(GAP_MAX_RESTARTS):
         Q[:, 0] = q / nrm2(q)
+        best_before = best
         for j in range(m):
             w = mat @ Q[:, j]
             alpha[j] = dotc(Q[:, j], w).real
             w -= alpha[j] * Q[:, j]
             if j:
                 w -= beta[j - 1] * Q[:, j - 1]
-            Qj, before = Q[:, : j + 1], nrm2(w)
-            for _ in range(2):  # the second pass only when DGKS asks for it
-                w = _deflate(Vf, w - gemv(1.0, Qj, gemv(1.0, Qj, w, trans=2)))
-                beta[j] = nrm2(w)
-                if beta[j] >= before / math.sqrt(2.0):
-                    break
+            w = deflate(w)
+            beta[j] = nrm2(w)
             invariant = beta[j] <= np.finfo(float).eps * np.abs(alpha[: j + 1]).max()
             last = invariant or j + 1 == m
             if last or (j + 1) % GAP_CHECK_STEPS == 0:
                 _, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
                 if last or beta[j] * abs(s[-1, 0]) <= tol / 2:
-                    x = _deflate(Vf, gemv(1.0, Qj, s[:, 0]))
+                    x = deflate(gemv(1.0, Q[:, : j + 1], s[:, 0]))
                     x /= nrm2(x)
                     Hx = mat @ x
                     theta = dotc(x, Hx).real
                     resid = nrm2(Hx - theta * x)
                     if resid <= tol:
                         return theta, x, Hx
+                    best = min(best, resid)
             if invariant:
                 raise EigensolverError(
                     f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
@@ -362,21 +367,14 @@ def _gap_lanczos(mat, V, v0, tol: float):
                 )
             if j + 1 < m:
                 Q[:, j + 1] = w / beta[j]
+        stalled = stalled + 1 if best >= best_before else 0
+        if stalled == GAP_STALLED_RESTARTS:
+            break
         q = x
     raise EigensolverError(
-        f"eigensolver failed on the gap: Ritz residual {resid:.3e} above "
-        f"{tol:.3e} after {GAP_MAX_RESTARTS} restarts"
+        f"eigensolver failed on the gap: Ritz residual {best:.3e} above {tol:.3e} "
+        f"after {restarts} restarts, the last {stalled} without a lower one"
     )
-
-
-def _deflate(V, x):
-    """x - V V^H x for a vector x, on scipy's BLAS, the one the rest of the
-    sparse solve calls: alternating with numpy's leaves one library's idle
-    threads spinning."""
-    if not V.shape[1]:
-        return x
-    gemv = sla.get_blas_funcs("gemv", (V, x))
-    return x - gemv(1.0, V, gemv(1.0, V, x, trans=2))
 
 
 def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):

@@ -465,10 +465,31 @@ class TestSparseGapSolve:
         # one run makes at most 20 products plus one per formed Ritz vector
         assert gap_matvecs["gap"] > 2 * 20  # it did restart
 
+    def test_clustered_gap_matches_dense_oracle(self, gap_matvecs):
+        # Haar-random rank-1 complex projectors on a qubit chain n = 10, drawn
+        # from default_rng([5, 1]): gap 0.00665 with the next level at 0.00686,
+        # so the loop restarts and the Krylov basis loses the most orthogonality
+        phi = _segment_chain([10], complex_terms=True, seed=[5, 1])
+        sd = spectral_data(hamiltonian(phi, tuple(range(10))))
+        assert (sd.kernel_dim, sd.solver) == (11, "sparse")
+        assert gap_matvecs["gap"] > operators.GAP_LANCZOS_VECTORS  # it did restart
+        Hd = dense_bond_hamiltonian(10, [(t.support[0], t.matrix) for t in phi.terms])
+        assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-10)
+
     def test_gap_ritz_residual_checked(self, perturbed_gap_ritz_vector):
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="Ritz residual"):
             spectral_data(H, dense_cap=8)
+
+    def test_stalled_residual_stops_early(self, perturbed_gap_ritz_vector, gap_matvecs):
+        # no Ritz vector passes the check, so the residual stops falling
+        H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
+        with pytest.raises(EigensolverError, match=r"after [1-4] restarts, the last 3 without"):
+            spectral_data(H, dense_cap=8)
+        # at most 4 restarts: 5 runs of m = 256 - 9 steps, each with a
+        # Ritz vector formed at most every GAP_CHECK_STEPS steps
+        m = 256 - 9
+        assert gap_matvecs["gap"] <= 5 * (m + m // operators.GAP_CHECK_STEPS + 1)
 
     def test_gap_is_read_from_h(self):
         # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1
