@@ -20,13 +20,11 @@ from .lattice import (
     side_length,
     split_pairs,
 )
-from .operators import (
-    DENSE_CAP,
-    SpectralData,
-    embedded_kernel_projector,
-    hamiltonian,
-    spectral_data,
-)
+from .operators import SpectralData, embedded_kernel_projector, hamiltonian, spectral_data
+
+
+# windows above this Hilbert-space dimension are skipped (and the row sampled)
+DEFAULT_DIM_CAP = 2 ** 14
 
 
 def recursion_step(gap_F: float, delta: float, s: float) -> float:
@@ -41,7 +39,6 @@ def recursion_step(gap_F: float, delta: float, s: float) -> float:
 def pair_overlap_norm(
     phi: Interaction,
     pair: SplitPair,
-    dense_cap: int = DENSE_CAP,
     region_solve: SpectralData | None = None,
     projectors: tuple | None = None,
 ) -> float:
@@ -60,13 +57,11 @@ def pair_overlap_norm(
             Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
         )
         projectors = tuple(
-            embedded_kernel_projector(phi_proj, X, region, phi.d, dense_cap=dense_cap)
+            embedded_kernel_projector(phi_proj, X, region, phi.d)
             for X in (pair.A, pair.B)
         )
     if region_solve is None:
-        region_solve = spectral_data(
-            hamiltonian(phi, region, projector_form=True), dense_cap=dense_cap, with_basis=True
-        )
+        region_solve = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
     diff = Difference(
         OperatorChain(list(projectors), dim), ProjectorFromBasis(region_solve.kernel(), dim)
     )
@@ -102,10 +97,9 @@ def measure_delta_k(
     g: EmbeddedGraph,
     k: int,
     s: int,
-    dim_cap: int = 2 ** 14,
+    dim_cap: int = DEFAULT_DIM_CAP,
     max_pairs: int | None = None,
     axis_perms: bool = False,
-    dense_cap: int = DENSE_CAP,
 ) -> DeltaMeasurement:
     """Measure delta_k = max over split pairs of || P_A P_B - P_{A u B} ||.
 
@@ -135,9 +129,7 @@ def measure_delta_k(
             continue
         regions += 1
         max_size = max(max_size, len(Y))
-        sd = spectral_data(
-            hamiltonian(phi, Y, projector_form=True), dense_cap=dense_cap, with_basis=True
-        )
+        sd = spectral_data(hamiltonian(phi, Y, projector_form=True), with_basis=True)
         if sd.gap is not None:
             gap_min = sd.gap if gap_min is None else min(gap_min, sd.gap)
         for pair in pairs:
@@ -146,9 +138,7 @@ def measure_delta_k(
                     k, max(values), values, regions, len(values), skipped, False,
                     gap_min, max_size, phi.d ** max_size,
                 )
-            values.append(
-                pair_overlap_norm(phi, pair, dense_cap=dense_cap, region_solve=sd)
-            )
+            values.append(pair_overlap_norm(phi, pair, region_solve=sd))
     if not values:
         raise CertificationError(
             f"no split pairs could be generated at scale k = {k}: {skipped - split_failed} windows "

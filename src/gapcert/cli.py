@@ -71,7 +71,10 @@ def build_graph(cfg):
     if cfg.graph_file:
         return fileio.load_graph(cfg.graph_file)
     if cfg.grid:
-        dims = [int(x) for x in str(cfg.grid).lower().split("x")]
+        try:
+            dims = [int(x) for x in str(cfg.grid).lower().split("x")]
+        except ValueError:
+            raise _malformed("grid", cfg.grid, "dims like 4x3") from None
         return grid_graph(*dims)
     if cfg.length:
         return chain_graph(int(cfg.length))
@@ -124,18 +127,27 @@ def _load_config(args) -> fileio.RunConfig:
     return cfg
 
 
+def _malformed(key: str, value, expected: str) -> ConfigError:
+    flag = "--" + key.replace("_", "-")
+    return ConfigError(f"malformed {flag} (config key {key}) value '{value}': expected {expected}")
+
+
 def _parse_s_rule(rule: str | None):
     """'const:2' -> s_k = 2; 'power:1.25' -> s_k = ceil(k^1.25)."""
     if rule is None:
         return None, None
     kind, _, value = rule.partition(":")
+    if kind not in ("const", "power"):
+        raise ConfigError(f"unknown s rule: {rule}")
+    try:
+        x = int(value) if kind == "const" else float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise _malformed("s_rule", rule, "const:N or power:B")
     if kind == "const":
-        c = int(value)
-        return (lambda k: c), (float(c), 0.0)
-    if kind == "power":
-        b = float(value)
-        return (lambda k: max(1, math.ceil(k ** b))), (1.0, b)
-    raise ConfigError(f"unknown s rule: {rule}")
+        return (lambda k: x), (float(x), 0.0)
+    return (lambda k: max(1, math.ceil(k ** x))), (1.0, x)
 
 
 def cmd_gap(args) -> int:
@@ -144,7 +156,7 @@ def cmd_gap(args) -> int:
     phi = build_model(cfg, g)
     region = make_region(g.ids)
     H = hamiltonian(phi, region, cap=cfg.dim_cap)
-    sd = spectral_data(H, dense_cap=cfg.dense_cap)
+    sd = spectral_data(H)
     print(f"region size {len(region)}  hilbert dim {H.dim}")
     print(f"kernel dim {sd.kernel_dim}  solver {sd.solver}")
     print(f"gap {_fmt(sd.gap)}" if sd.gap is not None else "gap undefined (gapless-trivial)")
@@ -166,9 +178,7 @@ def cmd_dl_check(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     payload: dict = {"t": t, "region_size": len(region)}
 
-    decomp = detectability.column_decomposition(
-        phi, g, region, t, alpha=cfg.alpha, dense_cap=cfg.dense_cap
-    )
+    decomp = detectability.column_decomposition(phi, g, region, t, alpha=cfg.alpha)
     dl = detectability.dl_operator(decomp)
     payload["columns"] = {str(m): list(r) for m, r in decomp.columns.items()}
 
@@ -176,9 +186,7 @@ def cmd_dl_check(args) -> int:
     checks.append(("column-commutation", comm.max_norm <= 1e-12, f"max {comm.max_norm:.3e}"))
 
     # H is not kept: the matrix-free norms below set the peak memory
-    sd = spectral_data(
-        hamiltonian(phi, region, projector_form=True), dense_cap=cfg.dense_cap, with_basis=True
-    )
+    sd = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
     lam = min(sd.gap, 1.0) if sd.gap is not None else 1.0
     V = sd.kernel()
     from ._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
@@ -247,8 +255,7 @@ def cmd_dl_check(args) -> int:
             # the battery's columns (and so its ||DL P_perp||) run along --alpha
             same_axis = pair.alpha == decomp.alpha
             orep = detectability.overlap_bound_check(
-                phi, g, pair, t, dense_cap=cfg.dense_cap,
-                decomp=decomp if same_axis else None, region_solve=sd,
+                phi, g, pair, t, decomp=decomp if same_axis else None, region_solve=sd,
                 dl_perp=dl_perp if same_axis else None, g_comm=g_comm,
             )
             checks.append(
@@ -297,8 +304,7 @@ def cmd_certify(args) -> int:
         # measurements need s_k within the admissible window for that scale
         s_k = max(1, min(s_fn(k), int(certification.side_length(k, g.D) / 8.0)))
         dm = certification.measure_delta_k(
-            phi, g, k, s_k, dim_cap=cfg.dim_cap,
-            axis_perms=bool(cfg.axis_perms), dense_cap=cfg.dense_cap,
+            phi, g, k, s_k, dim_cap=cfg.dim_cap, axis_perms=bool(cfg.axis_perms)
         )
         measurements.append(dm)
         lam = min(dm.gap_min, 1.0) if dm.gap_min is not None else 1.0
@@ -348,11 +354,14 @@ def cmd_scaling(args) -> int:
                           "--graph-file, --grid and --length are not supported")
     if cfg.sizes is None:
         raise ConfigError("need --sizes (e.g. 4:12 or 4,6,8)")
-    if ":" in str(cfg.sizes):
-        lo, hi = str(cfg.sizes).split(":")
-        sizes = list(range(int(lo), int(hi) + 1))
-    else:
-        sizes = [int(x) for x in str(cfg.sizes).split(",")]
+    try:
+        if ":" in str(cfg.sizes):
+            lo, hi = str(cfg.sizes).split(":")
+            sizes = list(range(int(lo), int(hi) + 1))
+        else:
+            sizes = [int(x) for x in str(cfg.sizes).split(",")]
+    except ValueError:
+        raise _malformed("sizes", cfg.sizes, "4:12 or 4,6,8") from None
     workers = cfg.workers or (os.cpu_count() or 1)
     cfg.update(model=cfg.model or "heisenberg_fm")
 
@@ -360,7 +369,7 @@ def cmd_scaling(args) -> int:
         g = chain_graph(n)
         phi = build_model(cfg, g)
         H = hamiltonian(phi, make_region(g.ids), cap=cfg.dim_cap)
-        sd = spectral_data(H, dense_cap=cfg.dense_cap)
+        sd = spectral_data(H)
         if sd.gap is None:
             raise CertificationError("gapless at finite size")
         return n, H.dim, sd.gap
@@ -409,7 +418,7 @@ def cmd_validate(args) -> int:
               f"bounds over materialized terms only)")
         region = make_region(g.ids)
         if phi.d ** len(region) <= cfg.dim_cap:
-            ff = operators.check_frustration_free(hamiltonian(phi, region), cfg.dense_cap)
+            ff = operators.check_frustration_free(hamiltonian(phi, region))
             print(f"frustration-free on the full region: {ff}")
             if not ff:
                 return EXIT_CODES["check_failed"]
@@ -426,7 +435,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     # flags beyond the model and geometry ones, each given only to the subcommands that read it
     options = {
-        "--dense-cap": {"dest": "dense_cap", "type": int},
         "--dim-cap": {"dest": "dim_cap", "type": int},
         "--workers": {"type": int, "help": "0 = all cores"},
         "--out-csv": {"dest": "out_csv"},
@@ -446,11 +454,11 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **options[flag])
 
     p_gap = sub.add_parser("gap", help="kernel dimension and spectral gap of a region")
-    common(p_gap, "--dense-cap", "--dim-cap", "--out-csv")
+    common(p_gap, "--dim-cap", "--out-csv")
     p_gap.set_defaults(fn=cmd_gap)
 
     p_dl = sub.add_parser("dl-check", help="detectability-lemma invariant battery")
-    common(p_dl, "--dense-cap", "--out-json")
+    common(p_dl, "--out-json")
     p_dl.add_argument("--t", type=float)
     p_dl.add_argument("--alpha", type=int, help="coarse-graining axis")
     p_dl.add_argument("--k-min", dest="k_min", type=int, help="scale for overlap splits")
@@ -462,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_dl.set_defaults(fn=cmd_dl_check)
 
     p_cert = sub.add_parser("certify", help="divide-and-conquer gap certificate")
-    common(p_cert, "--dense-cap", "--dim-cap", "--out-csv")
+    common(p_cert, "--dim-cap", "--out-csv")
     p_cert.add_argument("--k-min", dest="k_min", type=int)
     p_cert.add_argument("--k-max", dest="k_max", type=int)
     p_cert.add_argument("--s", type=int)
@@ -474,7 +482,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(fn=cmd_certify)
 
     p_scale = sub.add_parser("scaling", help="gap versus size exponent fit")
-    common(p_scale, "--dense-cap", "--dim-cap", "--out-csv", "--workers")
+    common(p_scale, "--dim-cap", "--out-csv", "--workers")
     p_scale.add_argument("--sizes", help="4:12 or 4,6,8")
     p_scale.add_argument("--gap-floor", dest="gap_floor", type=float)
     p_scale.set_defaults(fn=cmd_scaling)
@@ -484,7 +492,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_col.set_defaults(fn=cmd_coloring)
 
     p_val = sub.add_parser("validate", help="embedding and interaction validation")
-    common(p_val, "--dense-cap", "--dim-cap")
+    common(p_val, "--dim-cap")
     p_val.set_defaults(fn=cmd_validate)
     return parser
 

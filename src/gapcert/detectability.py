@@ -32,13 +32,7 @@ from .interaction import (
     reduce_to_projectors,
 )
 from .lattice import EmbeddedGraph, Region, make_region
-from .operators import (
-    DENSE_CAP,
-    SpectralData,
-    embedded_kernel_projector,
-    hamiltonian,
-    spectral_data,
-)
+from .operators import SpectralData, embedded_kernel_projector, hamiltonian, spectral_data
 
 # matrix-free product-space cap for the DL path
 DL_DIM_CAP = 2 ** 20
@@ -103,7 +97,6 @@ def column_decomposition(
     t: float,
     alpha: int = 0,
     allow_small_t: bool = False,
-    dense_cap: int = DENSE_CAP,
 ) -> ColumnDecomposition:
     """Build the coarse-grained columns and their ground projectors.
 
@@ -139,9 +132,7 @@ def column_decomposition(
             pruned.append(m)
             continue
         columns[m] = members
-        projectors[m] = embedded_kernel_projector(
-            phi_proj, members, region, phi.d, dense_cap=dense_cap
-        )
+        projectors[m] = embedded_kernel_projector(phi_proj, members, region, phi.d)
         (kept_even if m in even else kept_odd).append(m)
     return ColumnDecomposition(
         t=t,
@@ -586,7 +577,6 @@ def overlap_bound_check(
     g: EmbeddedGraph,
     pair,
     t: float,
-    dense_cap: int = DENSE_CAP,
     decomp: ColumnDecomposition | None = None,
     region_solve: SpectralData | None = None,
     dl_perp: float | None = None,
@@ -605,18 +595,16 @@ def overlap_bound_check(
     """
     region = make_region(pair.Y)
     if decomp is None:
-        decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha, dense_cap=dense_cap)
+        decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha)
     elif (decomp.region, decomp.alpha, decomp.t) != (region, pair.alpha, t):
         raise ValueError("decomp is not the column decomposition of pair.Y along pair.alpha at t")
     dl = dl_operator(decomp)
     dim = decomp.dim
 
-    P_A = embedded_kernel_projector(decomp.phi, pair.A, region, phi.d, dense_cap=dense_cap)
-    P_B = embedded_kernel_projector(decomp.phi, pair.B, region, phi.d, dense_cap=dense_cap)
+    P_A = embedded_kernel_projector(decomp.phi, pair.A, region, phi.d)
+    P_B = embedded_kernel_projector(decomp.phi, pair.B, region, phi.d)
     if region_solve is None:
-        region_solve = spectral_data(
-            hamiltonian(decomp.phi, region), dense_cap=dense_cap, with_basis=True
-        )
+        region_solve = spectral_data(hamiltonian(decomp.phi, region), with_basis=True)
     lhs = pair_overlap_norm(phi, pair, region_solve=region_solve, projectors=(P_A, P_B))
     if dl_perp is None:
         P_perp = ProjectorFromBasis(region_solve.kernel(), dim, complement=True)

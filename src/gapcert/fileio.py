@@ -18,21 +18,22 @@ Run configuration: flat "key value" lines with a mandatory schema_version.
 Unknown keys are rejected so typos fail loudly.
 
 An unreadable file raises ConfigError naming the path; a line with a missing
-value or a token that does not convert raises the format's error (GraphError,
-InteractionError, ConfigError) naming the line.
+value, a token that does not convert or a number that is not finite raises
+the format's error (GraphError, InteractionError, ConfigError) naming the line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .certification import DEFAULT_DIM_CAP, DEFAULT_GAP_FLOOR
 from .errors import ConfigError, GraphError, InteractionError
 from .interaction import Interaction, InteractionTerm
 from .lattice import EmbeddedGraph
-from .operators import DENSE_CAP
 
 
 def _read(path) -> str:
@@ -46,6 +47,13 @@ def _read(path) -> str:
 def _bad_line(error: type, tokens: list[str], exc: Exception) -> Exception:
     reason = "missing value" if isinstance(exc, IndexError) else str(exc)
     return error(f"malformed line '{' '.join(tokens)}': {reason}")
+
+
+def _finite(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"number '{token}' is not finite")
+    return x
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -68,10 +76,10 @@ def parse_graph(text: str) -> EmbeddedGraph:
             if key == "dim":
                 dim = int(tokens[1])
             elif key == "c_gamma":
-                c_gamma = float(tokens[1])
+                c_gamma = _finite(tokens[1])
             elif key == "vertex":
                 vid = int(tokens[1])
-                coords = tuple(float(x) for x in tokens[2:])
+                coords = tuple(_finite(x) for x in tokens[2:])
                 if vid in vertices:
                     raise GraphError(f"duplicate vertex id {vid}")
                 vertices[vid] = coords
@@ -125,7 +133,7 @@ def _parse_complex_row(tokens: list[str], width: int) -> np.ndarray:
         if "," not in tok:
             raise InteractionError(f"matrix entry '{tok}' is not a re,im pair")
         re, im = tok.split(",", 1)
-        row[i] = complex(float(re), float(im))
+        row[i] = complex(_finite(re), _finite(im))
     return row
 
 
@@ -150,11 +158,11 @@ def parse_interaction(text: str) -> tuple[Interaction | None, str | None, dict]:
             if key == "d":
                 d = int(tokens[1])
             elif key == "range":
-                R = float(tokens[1])
+                R = _finite(tokens[1])
             elif key == "model":
                 model = tokens[1]
             elif key == "param":
-                params[tokens[1]] = float(tokens[2])
+                params[tokens[1]] = _finite(tokens[2])
             elif key == "term":
                 if d is None:
                     raise InteractionError("term listed before 'd'")
@@ -216,12 +224,11 @@ CONFIG_KEYS: dict[str, tuple] = {
     "s": (int, 1),
     "s_rule": (str, None),        # "const:1" or "power:1.25"
     "seed": (int, 1234),
-    "dense_cap": (int, DENSE_CAP),
-    "dim_cap": (int, 2 ** 14),
+    "dim_cap": (int, DEFAULT_DIM_CAP),
     "workers": (int, 0),          # 0 = number of cpus
     "out_csv": (str, None),
     "out_json": (str, None),
-    "gap_floor": (float, 0.05),
+    "gap_floor": (float, DEFAULT_GAP_FLOOR),
     "sizes": (str, None),         # e.g. "4:12" or "4,6,8"
     "axis_perms": (int, 0),       # enumerate rectangle axis permutations
     "conservative_g": (int, 0),   # use the support-overlap commutation bound
@@ -243,7 +250,10 @@ class RunConfig:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key: {key}")
             if val is not None:
-                self.values[key] = CONFIG_KEYS[key][0](val)
+                value = CONFIG_KEYS[key][0](val)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{key} must be a finite number, got {val}")
+                self.values[key] = value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -257,7 +267,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"config key {key} needs exactly one value")
         try:
             cfg.update(**{key: tokens[1]})
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise _bad_line(ConfigError, tokens, exc) from None
         if key == "schema_version":
             seen_version = True

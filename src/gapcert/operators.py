@@ -153,23 +153,21 @@ class SpectralData:
         return self.basis
 
 
-def spectral_data(
-    H: GlobalOperator, dense_cap: int = DENSE_CAP, with_basis: bool = False
-) -> SpectralData:
+def spectral_data(H: GlobalOperator, with_basis: bool = False) -> SpectralData:
     """Kernel and gap of H: the region solve every other entry point reads.
 
-    The diagonal shortcut when H has no off-diagonal entries; a dense solve
-    when dim <= dense_cap or H carries no terms (eigenvectors only with
-    with_basis); otherwise the kernel grown from the terms (_grown_kernel)
-    and the gap by Lanczos on H deflated against it (_gap_lanczos).  A
-    grown kernel wider than MAX_KERNEL goes to the dense solve when dim <=
-    2 * dense_cap and raises EigensolverError otherwise.  The gap is the
-    lowest level above the kernel tolerance (see SpectralData), None when H
-    is all kernel.  A term with a level below -PSD_TOL * max(1, ||term||),
-    or on the dense and diagonal paths a level of H below minus the
-    tolerance, raises InteractionError.
+    The solver follows from H alone: the diagonal shortcut when H has no
+    off-diagonal entries; a dense solve when dim <= DENSE_CAP or H carries
+    no terms (eigenvectors only with with_basis); otherwise the kernel grown
+    from the terms (_grown_kernel) and the gap by Lanczos on H deflated
+    against it (_gap_lanczos).  A grown kernel wider than MAX_KERNEL goes to
+    the dense solve when dim <= 2 * DENSE_CAP and raises EigensolverError
+    otherwise.  The gap is the lowest level above the kernel tolerance (see
+    SpectralData), None when H is all kernel.  A term with a level below
+    -PSD_TOL * max(1, ||term||), or on the dense and diagonal paths a level
+    of H below minus the tolerance, raises InteractionError.
     """
-    return _region_solve(H, dense_cap, with_basis)
+    return _region_solve(H, with_basis)
 
 
 def _kernel_tol(norm: float) -> float:
@@ -221,9 +219,10 @@ def _term_norms(terms) -> list[float]:
     return norms
 
 
-def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> SpectralData:
+def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
-    # solve passes through exactly one public entry point
+    # solve passes through exactly one public entry point.  DENSE_CAP is read
+    # at call time, so that tests can move the crossover by patching it
     norms = None if H.terms is None else _term_norms(H.terms)
     mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
     dim = H.dim
@@ -235,13 +234,13 @@ def _region_solve(H: GlobalOperator, dense_cap: int, with_basis: bool) -> Spectr
         idx = np.flatnonzero(diag <= tol)
         V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
         return _from_levels(np.sort(diag), tol, norm, "diagonal", V)
-    if dim <= dense_cap or norms is None:
+    if dim <= DENSE_CAP or norms is None:
         return _dense_solve(mat, with_basis)
     norm = float(sum(norms))
     tol = _kernel_tol(norm)
     V = _grown_kernel(H, mat, tol)
     if V is None:
-        if dim <= 2 * dense_cap:
+        if dim <= 2 * DENSE_CAP:
             return _dense_solve(mat, with_basis)
         raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
     if V.shape[1] == dim:  # every level within the tolerance
@@ -377,16 +376,16 @@ def _gap_lanczos(mat, V, v0, tol: float):
     )
 
 
-def kernel_basis(H: GlobalOperator, dense_cap: int = DENSE_CAP):
+def kernel_basis(H: GlobalOperator):
     """Orthonormal basis of the kernel (ground space) as a (dim, r) array.
 
     The basis of the region solve (see spectral_data); sparse one-hot for
     diagonal H.  Raises EigensolverError when the kernel is empty.
     """
-    return _region_solve(H, dense_cap, with_basis=True).kernel()
+    return _region_solve(H, with_basis=True).kernel()
 
 
-def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOperator:
+def ground_projector(H: GlobalOperator) -> GlobalOperator:
     """Orthogonal projector onto the kernel of a frustration-free operator.
 
     Materializes the dense projector, so it is gated at
@@ -397,15 +396,15 @@ def ground_projector(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> GlobalOpe
         raise DimensionCapError(
             f"region too large for an explicit projector (dim {H.dim} > {MATERIALIZE_CAP})"
         )
-    V = kernel_basis(H, dense_cap=dense_cap)
+    V = kernel_basis(H)
     if sp.issparse(V):
         V = V.toarray()
     return GlobalOperator(H.region, H.d, V @ V.conj().T)
 
 
-def check_frustration_free(H: GlobalOperator, dense_cap: int = DENSE_CAP) -> bool:
+def check_frustration_free(H: GlobalOperator) -> bool:
     """True iff the smallest eigenvalue sits at zero (within tolerance)."""
-    return spectral_data(H, dense_cap=dense_cap).kernel_dim > 0
+    return spectral_data(H).kernel_dim > 0
 
 
 def operator_norm(M, hermitian: bool = False) -> float:
@@ -444,13 +443,11 @@ class SandwichReport:
         return self.lower_ok and self.upper_ok
 
 
-def sandwich_check(phi: Interaction, region: Region, dense_cap: int = DENSE_CAP) -> SandwichReport:
+def sandwich_check(phi: Interaction, region: Region) -> SandwichReport:
     """Verify phi_min * gap(projected H) <= gap(H) <= phi_max * gap(projected H)."""
     pmax, pmin = phi_bounds(Interaction(phi.terms_within(region), R=phi.R, d=phi.d))
-    raw = spectral_data(hamiltonian(phi, region), dense_cap=dense_cap)
-    projected = spectral_data(
-        hamiltonian(phi, region, projector_form=True), dense_cap=dense_cap
-    )
+    raw = spectral_data(hamiltonian(phi, region))
+    projected = spectral_data(hamiltonian(phi, region, projector_form=True))
     if raw.gap is None or projected.gap is None:
         return SandwichReport(raw.gap, projected.gap, pmax, pmin, True, True, 0.0, 0.0)
     slack_lower = raw.gap - pmin * projected.gap
@@ -488,11 +485,7 @@ def dump_operator(H: GlobalOperator) -> str:
 
 
 def embedded_kernel_projector(
-    phi: Interaction,
-    sub_region: Region,
-    region: Region,
-    d: int,
-    dense_cap: int = DENSE_CAP,
+    phi: Interaction, sub_region: Region, region: Region, d: int
 ) -> FactoredProjectorBlock:
     """Ground projector of the sub-region Hamiltonian, acting on the full region.
 
@@ -505,5 +498,5 @@ def embedded_kernel_projector(
     if not phi.terms_within(sub_region):
         return FactoredProjectorBlock(np.ones((1, 1)), (), len(region), d)
     Hs = hamiltonian(phi, sub_region, projector_form=True)
-    V = kernel_basis(Hs, dense_cap=dense_cap)
+    V = kernel_basis(Hs)
     return FactoredProjectorBlock(V, _positions(sub_region, region), len(region), d)

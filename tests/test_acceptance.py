@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gapcert import operators
 from gapcert._tensor import ProjectorFromBasis
 from gapcert.certification import (
     GapSequence,
@@ -124,7 +125,8 @@ def test_criterion_3_chebyshev_step():
     )
 
 
-def test_criterion_4_smuggling_identity():
+def test_criterion_4_smuggling_identity(monkeypatch):
+    monkeypatch.setattr(operators, "DENSE_CAP", 8)
     t0 = time.time()
     n, t = 14, 4
     g = chain_graph(n)
@@ -132,9 +134,7 @@ def test_criterion_4_smuggling_identity():
     region = tuple(range(n))
     decomp = column_decomposition(phi, g, region, t)
     T = layer_product(phi, region)
-    lam = spectral_data(
-        hamiltonian(phi, region, projector_form=True), dense_cap=8
-    ).gap
+    lam = spectral_data(hamiltonian(phi, region, projector_form=True)).gap
     gamma = lam / (lam + 4.0)
     residuals = {}
     for label, F in (("1", [1.0]), ("1-x", [1.0, -1.0]), ("step", ChebyshevStep(1, gamma))):

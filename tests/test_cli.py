@@ -194,29 +194,6 @@ class TestCertifyCommand:
         header, row = csv.read_text().splitlines()
         assert header.endswith(",sampled") and row.endswith(",1")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["certify", "--model", "heisenberg_fm", "--length", "13",
-             "--k-min", "6", "--k-max", "6", "--s", "1"],
-            ["dl-check", "--model", "commuting_toy", "--length", "13", "--t", "4",
-             "--k-min", "6", "--s", "1"],
-        ],
-    )
-    def test_dense_cap_reaches_every_solve(self, argv, monkeypatch, capsys):
-        from gapcert import operators
-
-        caps = []
-        solve = operators._region_solve
-
-        def recording(H, dense_cap, *args, **kwargs):
-            caps.append(dense_cap)
-            return solve(H, dense_cap, *args, **kwargs)
-
-        monkeypatch.setattr(operators, "_region_solve", recording)
-        run(argv + ["--dense-cap", "64"])
-        assert caps and set(caps) == {64}
-
     def test_empty_k_range_usage_error(self, capsys):
         code = run(
             ["certify", "--model", "commuting_toy", "--length", "12",
@@ -375,16 +352,15 @@ UNREAD_CONFIG_KEYS = {
     "dl-check": "axis_perms dim_cap gap_floor k_max out_csv s_rule sizes workers",
     "certify": "alpha conservative_g gap_floor out_json sizes t workers",
     "scaling": "alpha axis_perms conservative_g k_max k_min out_json s s_rule t",
-    "coloring": "alpha axis_perms conservative_g dense_cap dim_cap gap_floor k_max k_min out_csv "
-                "out_json s s_rule sizes t workers",
+    "coloring": "alpha axis_perms conservative_g dim_cap gap_floor k_max k_min out_csv out_json "
+                "s s_rule sizes t workers",
     "validate": "alpha axis_perms conservative_g gap_floor k_max k_min out_csv out_json s s_rule "
                 "sizes t workers",
 }
 CONFIG_VALUES = {
-    "alpha": "0", "axis_perms": "1", "conservative_g": "1", "dense_cap": "64",
-    "dim_cap": "4096", "gap_floor": "0.05", "k_max": "6", "k_min": "6", "out_csv": "y.csv",
-    "out_json": "x.json", "s": "1", "s_rule": "const:1", "sizes": "4:6", "t": "2",
-    "workers": "1",
+    "alpha": "0", "axis_perms": "1", "conservative_g": "1", "dim_cap": "4096",
+    "gap_floor": "0.05", "k_max": "6", "k_min": "6", "out_csv": "y.csv", "out_json": "x.json",
+    "s": "1", "s_rule": "const:1", "sizes": "4:6", "t": "2", "workers": "1",
 }
 
 
@@ -403,6 +379,115 @@ class TestConfigKeys:
         assert code == EXIT_CODES["config"]
         assert f"config keys not read by {command}: {key}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+COMMANDS = ["gap", "dl-check", "certify", "scaling", "coloring", "validate"]
+
+
+class TestNoDenseCap:
+    """The region solve picks its solver from the region: no flag or key sets it."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dense_cap_flag_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, *GEOMETRY, "--dense-cap", "64"])
+        assert exc.value.code == EXIT_CODES["usage"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dense_cap_config_key_is_unknown(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schema_version 1\nmodel heisenberg_fm\nlength 4\ndense_cap 64\n")
+        code = run([command, "--config", str(cfg)])
+        assert code == EXIT_CODES["config"]
+        assert "unknown config key: dense_cap" in capsys.readouterr().err
+
+
+CERTIFY_ARGS = ["--model", "heisenberg_fm", "--length", "12", "--k-min", "6", "--k-max", "6"]
+MALFORMED_VALUES = [
+    ("gap", ["--model", "heisenberg_fm"], "grid", "4x"),
+    ("gap", ["--model", "heisenberg_fm"], "grid", "abc"),
+    ("scaling", [], "sizes", "4:"),
+    ("scaling", [], "sizes", "a,b"),
+    ("certify", CERTIFY_ARGS, "s_rule", "power:x"),
+    ("certify", CERTIFY_ARGS, "s_rule", "power:nan"),
+    ("certify", CERTIFY_ARGS, "s_rule", "const:"),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("command, args, key, value", MALFORMED_VALUES)
+    def test_flag_value_is_config_exit(self, command, args, key, value, capsys):
+        flag = "--" + key.replace("_", "-")
+        code = run([command, *args, flag, value])
+        assert code == EXIT_CODES["config"]
+        assert f"malformed {flag} (config key {key}) value '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, key, value", MALFORMED_VALUES)
+    def test_config_value_is_config_exit(self, command, args, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"schema_version 1\n{key} {value}\n")
+        code = run([command, "--config", str(cfg), *args])
+        assert code == EXIT_CODES["config"]
+        assert f"(config key {key}) value '{value}'" in capsys.readouterr().err
+
+
+def _term_file(entry: str) -> str:
+    return f"d 2\nrange 1\nterm 0 1\n{entry} 0,0 0,0 0,0\n" + 3 * (ZERO_ROW + "\n")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "command, length, flag, text, message",
+        [
+            ("gap", "9", "--interaction-file", _term_file("nan,0"), "nan,0 0,0"),
+            ("gap", "10", "--interaction-file", _term_file("inf,0"), "inf,0 0,0"),
+            ("gap", "10", "--interaction-file", _term_file("0,-inf"), "0,-inf 0,0"),
+            ("validate", "4", "--interaction-file", _term_file("nan,0"), "nan,0 0,0"),
+            ("dl-check", "8", "--interaction-file", "d 2\nrange nan\nmodel heisenberg_fm\n",
+             "range nan"),
+            ("dl-check", "8", "--interaction-file", "model low_rank\nparam rank nan\n",
+             "param rank nan"),
+            ("dl-check", None, "--graph-file", "dim 1\nc_gamma nan\nvertex 0 0\nvertex 1 1\n"
+             "edge 0 1\n", "c_gamma nan"),
+            ("validate", None, "--graph-file", "dim 1\nc_gamma nan\nvertex 0 0\n", "c_gamma nan"),
+            ("validate", None, "--graph-file", "dim 1\nvertex 0 0\nvertex 1 nan\nedge 0 1\n",
+             "vertex 1 nan"),
+        ],
+        ids=["term-nan-dense", "term-inf-sparse", "term-imag-inf", "validate-term", "range",
+             "param", "dl-check-c-gamma", "validate-c-gamma", "validate-vertex"],
+    )
+    def test_input_file_is_config_exit(self, command, length, flag, text, message, tmp_path,
+                                       capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        geometry = ["--length", length] if length else []
+        model = [] if flag == "--interaction-file" else ["--model", "heisenberg_fm"]
+        code = run([command, *model, *geometry, flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CODES["config"]
+        assert message in err and "is not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["dl-check", *GEOMETRY, "--t", "nan"], None, "t must be a finite number, got nan"),
+            (["dl-check", *GEOMETRY, "--t", "inf"], None, "t must be a finite number, got inf"),
+            (["dl-check"], "t nan", "'t nan': t must be a finite number"),
+            (["scaling", "--sizes", "4:6", "--gap-floor", "nan"], None,
+             "gap_floor must be a finite number, got nan"),
+            (["scaling", "--sizes", "4:6"], "gap_floor -inf", "'gap_floor -inf'"),
+        ],
+        ids=["t-nan", "t-inf", "config-t-nan", "gap-floor-nan", "config-gap-floor-inf"],
+    )
+    def test_setting_is_config_exit(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            geometry = "" if argv[0] == "scaling" else "model heisenberg_fm\nlength 4\n"
+            cfg.write_text(f"schema_version 1\n{geometry}{config}\n")
+            argv = argv + ["--config", str(cfg)]
+        code = run(argv)
+        assert code == EXIT_CODES["config"]
+        assert message in capsys.readouterr().err
 
 
 NOT_PSD_BOND = np.diag([-0.3, 0.2, 0.2, -0.3])

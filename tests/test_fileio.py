@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from gapcert.certification import DEFAULT_DIM_CAP, DEFAULT_GAP_FLOOR
 from gapcert.errors import ConfigError, GraphError, InteractionError
 from gapcert.fileio import (
+    CONFIG_KEYS,
+    RunConfig,
     format_graph,
     format_interaction,
     parse_config,
@@ -60,6 +63,11 @@ class TestGraphFormat:
         with pytest.raises(GraphError, match="duplicate vertex"):
             parse_graph("dim 1\nvertex 0 0.0\nvertex 0 1.0\n")
 
+    @pytest.mark.parametrize("line", ["c_gamma nan", "c_gamma inf", "vertex 1 nan", "vertex 1 -inf"])
+    def test_non_finite_number(self, line):
+        with pytest.raises(GraphError, match=f"malformed line '{line}': .* is not finite"):
+            parse_graph(f"dim 1\nvertex 0 0.0\n{line}\n")
+
 
 class TestInteractionFormat:
     def test_named_model(self):
@@ -97,6 +105,19 @@ class TestInteractionFormat:
         with pytest.raises(InteractionError, match="expected 2"):
             parse_interaction(text)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("d 2\nrange nan\nmodel aklt\n", "range nan"),
+            ("model low_rank\nparam rank inf\n", "param rank inf"),
+            ("d 2\nrange 1\nterm 0\nnan,0 0,0\n0,0 1,0\n", "nan,0 0,0"),
+            ("d 2\nrange 1\nterm 0\n1,0 0,0\n0,0 1,inf\n", "0,0 1,inf"),
+        ],
+    )
+    def test_non_finite_number(self, text, line):
+        with pytest.raises(InteractionError, match=f"malformed line '{line}': .* is not finite"):
+            parse_interaction(text)
+
 
 class TestConfig:
     def test_parse_and_defaults(self):
@@ -124,3 +145,14 @@ class TestConfig:
         assert cfg.seed == 7
         with pytest.raises(ConfigError):
             cfg.update(bogus=1)
+
+    @pytest.mark.parametrize("key, value", [("t", "nan"), ("t", "inf"), ("gap_floor", "-inf")])
+    def test_non_finite_setting(self, key, value):
+        with pytest.raises(ConfigError, match=f"malformed line '{key} {value}'"):
+            parse_config(f"schema_version 1\n{key} {value}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            RunConfig().update(**{key: float(value)})
+
+    def test_defaults_come_from_the_library(self):
+        assert CONFIG_KEYS["dim_cap"][1] == DEFAULT_DIM_CAP == 2 ** 14
+        assert CONFIG_KEYS["gap_floor"][1] == DEFAULT_GAP_FLOOR == 0.05

@@ -207,27 +207,30 @@ class TestSpectralData:
         oracle = dense_gap(dense_chain_hamiltonian(8, singlet_4x4()))
         assert sd.gap == pytest.approx(oracle, rel=1e-9)
 
-    def test_dense_sparse_agreement(self):
+    def test_dense_sparse_agreement(self, monkeypatch):
         phi = heisenberg_fm(chain_graph(8))
         H = hamiltonian(phi, tuple(range(8)))
-        dense = spectral_data(H, dense_cap=4096)
-        sparse = spectral_data(H, dense_cap=8)  # force the Lanczos path
+        monkeypatch.setattr(operators, "DENSE_CAP", 4096)
+        dense = spectral_data(H)
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)  # force the Lanczos path
+        sparse = spectral_data(H)
         assert sparse.solver in ("sparse", "diagonal")
         assert sparse.gap == pytest.approx(dense.gap, rel=1e-9)
         assert sparse.kernel_dim == dense.kernel_dim
 
-    def test_diagonal_fast_path(self):
+    def test_diagonal_fast_path(self, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         toy = commuting_toy(12)
         H = hamiltonian(toy, tuple(range(12)))
-        sd = spectral_data(H, dense_cap=8)
+        sd = spectral_data(H)
         assert sd.solver == "diagonal"
         assert sd.gap == pytest.approx(1.0)
 
 
-def _check_against_dense_oracle(phi, n, dense_cap):
+def _check_against_dense_oracle(phi, n):
     H = hamiltonian(phi, tuple(range(n)))
     Hd = dense_bond_hamiltonian(n, [(t.support[0], t.matrix) for t in phi.terms], phi.d)
-    sd = spectral_data(H, dense_cap=dense_cap, with_basis=True)
+    sd = spectral_data(H, with_basis=True)
     V = sd.kernel()
     assert np.linalg.norm(V @ V.conj().T - dense_ground_projector(Hd), 2) <= 1e-8
     assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-9)
@@ -273,29 +276,35 @@ class TestDenseCap:
     @pytest.mark.parametrize("name", list(CROSSOVER_REGIONS))
     def test_solver_and_results(self, name):
         model, n, kernel_dim, solver = CROSSOVER_REGIONS[name]
-        sd = _check_against_dense_oracle(model(), n, DENSE_CAP)
+        sd = _check_against_dense_oracle(model(), n)
         assert (sd.kernel_dim, sd.solver) == (kernel_dim, solver)
 
     @pytest.mark.parametrize("dense_cap, solver", [(512, "dense"), (511, None), (0, None)])
-    def test_wide_kernel_handover_up_to_twice_the_cap(self, dense_cap, solver):
+    def test_wide_kernel_handover_up_to_twice_the_cap(self, dense_cap, solver, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", dense_cap)
         # one singlet bond on 10 sites: kernel 768 of dim 1024, wider than MAX_KERNEL
         phi = _segment_chain([2] + [1] * 8)
         if solver is None:
             with pytest.raises(EigensolverError, match="kernel larger than 512"):
-                spectral_data(hamiltonian(phi, tuple(range(10))), dense_cap=dense_cap)
+                spectral_data(hamiltonian(phi, tuple(range(10))))
         else:
-            sd = _check_against_dense_oracle(phi, 10, dense_cap)
+            sd = _check_against_dense_oracle(phi, 10)
             assert (sd.kernel_dim, sd.solver) == (768, solver)
 
     @pytest.mark.parametrize("dense_cap", [256, 255, 0])
-    def test_kernel_below_max_kernel_stays_sparse(self, dense_cap):
+    def test_kernel_below_max_kernel_stays_sparse(self, dense_cap, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", dense_cap)
         # kernel 30 of dim 512: no handover at any cap below the dimension
-        sd = _check_against_dense_oracle(_segment_chain([5, 4]), 9, dense_cap)
+        sd = _check_against_dense_oracle(_segment_chain([5, 4]), 9)
         assert (sd.kernel_dim, sd.solver) == (30, "sparse")
 
 
 class TestRegionSolveProperties:
-    """Random frustration-free chains on both sides of dense_cap against the oracles."""
+    """Random frustration-free chains on both sides of DENSE_CAP against the oracles.
+
+    Hypothesis runs many examples per test call, so DENSE_CAP is patched in
+    the test body: a function-scoped fixture would fail its health check.
+    """
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
@@ -305,7 +314,9 @@ class TestRegionSolveProperties:
     )
     def test_rank_one_qubit_chains(self, n, seed, dense_cap):
         phi, _ = random_low_rank(chain_graph(n), 1, seed)
-        _check_against_dense_oracle(phi, n, dense_cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "DENSE_CAP", dense_cap)
+            _check_against_dense_oracle(phi, n)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -316,12 +327,14 @@ class TestRegionSolveProperties:
     def test_rank_two_qutrit_chains(self, n, seed, dense_cap):
         # rank-2 qubit bonds are generically frustrated; qutrit bonds are not
         phi, _ = random_low_rank(chain_graph(n), 2, seed, d=3)
-        _check_against_dense_oracle(phi, n, dense_cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "DENSE_CAP", dense_cap)
+            _check_against_dense_oracle(phi, n)
 
     def test_complex_chain_above_dense_cap(self):
         n = 11
         phi, _ = random_low_rank(chain_graph(n), 1, seed=3)
-        sd = _check_against_dense_oracle(phi, n, DENSE_CAP)
+        sd = _check_against_dense_oracle(phi, n)
         assert sd.solver == "sparse"
 
 
@@ -368,7 +381,9 @@ def test_grown_kernel_and_gap_match_dense_oracles(case):
     phi, region = case
     H = hamiltonian(phi, region)
     Hd = sum(dense_embed(t.matrix, t.support, region, phi.d) for t in phi.terms)
-    sd = spectral_data(H, dense_cap=8, with_basis=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "DENSE_CAP", 8)
+        sd = spectral_data(H, with_basis=True)
     assert sd.solver == ("sparse" if H.dim > 8 else "dense")
     P = dense_ground_projector(Hd)
     assert sd.kernel_dim == round(np.trace(P).real)
@@ -395,9 +410,10 @@ class TestSolverFailures:
         # two Lanczos vectors and no restart cannot reach the residual check
         monkeypatch.setattr(operators, "GAP_LANCZOS_VECTORS", 2)
         monkeypatch.setattr(operators, "GAP_MAX_RESTARTS", 1)
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="on the gap"):
-            spectral_data(H, dense_cap=8)
+            spectral_data(H)
 
 
 class _CountedMatrix:
@@ -476,34 +492,40 @@ class TestSparseGapSolve:
         Hd = dense_bond_hamiltonian(10, [(t.support[0], t.matrix) for t in phi.terms])
         assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-10)
 
-    def test_gap_ritz_residual_checked(self, perturbed_gap_ritz_vector):
+    def test_gap_ritz_residual_checked(self, perturbed_gap_ritz_vector, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="Ritz residual"):
-            spectral_data(H, dense_cap=8)
+            spectral_data(H)
 
-    def test_stalled_residual_stops_early(self, perturbed_gap_ritz_vector, gap_matvecs):
+    def test_stalled_residual_stops_early(
+        self, perturbed_gap_ritz_vector, gap_matvecs, monkeypatch
+    ):
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         # no Ritz vector passes the check, so the residual stops falling
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match=r"after [1-4] restarts, the last 3 without"):
-            spectral_data(H, dense_cap=8)
+            spectral_data(H)
         # at most 4 restarts: 5 runs of m = 256 - 9 steps, each with a
         # Ritz vector formed at most every GAP_CHECK_STEPS steps
         m = 256 - 9
         assert gap_matvecs["gap"] <= 5 * (m + m // operators.GAP_CHECK_STEPS + 1)
 
-    def test_gap_is_read_from_h(self):
+    def test_gap_is_read_from_h(self, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1
         phi = _segment_chain([2, 2, 2, 2, 1, 1])
-        sd = spectral_data(hamiltonian(phi, tuple(range(10))), dense_cap=8)
+        sd = spectral_data(hamiltonian(phi, tuple(range(10))))
         assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
         assert abs(sd.gap - 1.0) <= 1e-14
 
     def test_grown_kernel_makes_no_block_solves(self, monkeypatch):
         factored = []
         monkeypatch.setattr(spla, "splu", lambda *a, **kw: factored.append(a))
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
         # kernel 127 of dim 729
         phi, _ = random_low_rank(chain_graph(6), 2, 3, d=3)
-        sd = _check_against_dense_oracle(phi, 6, dense_cap=8)
+        sd = _check_against_dense_oracle(phi, 6)
         assert (sd.kernel_dim, sd.solver) == (127, "sparse")
         # the kernel comes from the terms and the gap from products with H:
         # nothing is factored
@@ -530,12 +552,14 @@ class TestNotPositiveSemidefinite:
         ],
         ids=["dense", "diagonal", "sparse-pivot", "sparse-shallow"],
     )
-    def test_negative_level_is_interaction_error(self, build, dense_cap):
+    def test_negative_level_is_interaction_error(self, build, dense_cap, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", dense_cap)
         with pytest.raises(InteractionError, match="not positive semidefinite"):
-            spectral_data(build(), dense_cap=dense_cap)
+            spectral_data(build())
 
     @pytest.mark.parametrize("dense_cap", [DENSE_CAP, 8])
-    def test_non_psd_term_is_interaction_error_on_both_sides(self, dense_cap):
+    def test_non_psd_term_is_interaction_error_on_both_sides(self, dense_cap, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_CAP", dense_cap)
         # the singlet projector split into a non-PSD term and 0.3 on the same
         # bond: H is the PSD FM chain, but its terms are not all PSD
         shifted = singlet_4x4() - 0.3 * np.eye(4)
@@ -544,7 +568,7 @@ class TestNotPositiveSemidefinite:
         H = hamiltonian(Interaction(terms, R=1.0, d=2), tuple(range(6)))
         assert np.linalg.eigvalsh(H.to_dense())[0] >= -1e-12
         with pytest.raises(InteractionError, match="not positive semidefinite"):
-            spectral_data(H, dense_cap=dense_cap)
+            spectral_data(H)
 
 
 class TestGroundProjector:
@@ -587,11 +611,13 @@ class TestGroundProjector:
 
 
 class TestKernelBasis:
-    def test_sparse_path_matches_dense(self):
+    def test_sparse_path_matches_dense(self, monkeypatch):
         phi = heisenberg_fm(chain_graph(8))
         H = hamiltonian(phi, tuple(range(8)))
-        Vd = kernel_basis(H, dense_cap=4096)
-        Vs = kernel_basis(H, dense_cap=8)
+        monkeypatch.setattr(operators, "DENSE_CAP", 4096)
+        Vd = kernel_basis(H)
+        monkeypatch.setattr(operators, "DENSE_CAP", 8)
+        Vs = kernel_basis(H)
         assert Vd.shape[1] == Vs.shape[1] == 9
         Pd = Vd @ Vd.conj().T
         Ps = Vs @ Vs.conj().T
