@@ -116,9 +116,11 @@ def embed_sum(blocks, n: int, d: int) -> sp.csr_matrix:
 class SiteBlockOperator:
     """A small matrix acting on selected tensor factors of a d^n space.
 
-    Applications go through reshape/tensordot and never materialize the
-    d^n x d^n matrix, so products of many of these stay cheap.  A block with
-    exact zeros off its diagonal is applied as a broadcast multiply.
+    An apply moves the block's factors to the front (_front), multiplies by
+    the block once and moves them back (_unfront), as FactoredProjectorBlock
+    does, and never materializes the d^n x d^n matrix, so products of many
+    of these stay cheap.  A block with exact zeros off its diagonal is
+    applied as a broadcast multiply.
     """
 
     block: np.ndarray
@@ -146,12 +148,8 @@ class SiteBlockOperator:
         return self._diag is not None
 
     def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        m = len(self.positions)
-        xt = x.reshape((self.d,) * self.n)
-        bt = mat.reshape((self.d,) * (2 * m))
-        y = np.tensordot(bt, xt, axes=(tuple(range(m, 2 * m)), self.positions))
-        y = np.moveaxis(y, tuple(range(m)), self.positions)
-        return np.ascontiguousarray(y).reshape(-1)
+        xf = _front(x, self.positions, self.n, self.d)
+        return _unfront(mat @ xf, self.positions, self.n, self.d)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._diag is not None:

@@ -82,7 +82,6 @@ class DeltaMeasurement:
 
     k: int
     value: float
-    pair_values: list[float]
     regions_tested: int
     pairs_tested: int
     skipped_regions: int
@@ -135,7 +134,7 @@ def measure_delta_k(
         for pair in pairs:
             if max_pairs is not None and len(values) >= max_pairs:
                 return DeltaMeasurement(
-                    k, max(values), values, regions, len(values), skipped, False,
+                    k, max(values), regions, len(values), skipped, False,
                     gap_min, max_size, phi.d ** max_size,
                 )
             values.append(pair_overlap_norm(phi, pair, region_solve=sd))
@@ -145,7 +144,7 @@ def measure_delta_k(
             f"skipped above the dimension cap {dim_cap}, {split_failed} for split errors"
         )
     return DeltaMeasurement(
-        k, max(values), values, regions, len(values), skipped, skipped == 0,
+        k, max(values), regions, len(values), skipped, skipped == 0,
         gap_min, max_size, phi.d ** max_size,
     )
 
@@ -206,6 +205,14 @@ class Certificate:
     notes: list[str] = field(default_factory=list)
 
 
+def power_or_inf(k: float, b: float) -> float:
+    """k ** b, or +inf where the float overflows."""
+    try:
+        return k ** b
+    except OverflowError:
+        return math.inf
+
+
 def _fit_power_law(xs, ys) -> tuple[float, float]:
     """Least squares fit y = a * x^b; returns (a, b)."""
     lx = np.log(np.asarray(xs, dtype=float))
@@ -249,7 +256,7 @@ def _tail_estimate(
             return math.inf
         horizon = int(k_max) + 400
         s_tail = sum(
-            1.0 / max(1.0, min(a * k ** b, side_length(k, D) / 8.0))
+            1.0 / max(1.0, min(a * power_or_inf(k, b), side_length(k, D) / 8.0))
             for k in range(int(k_max) + 1, horizon + 1)
         )
         s_tail += horizon ** (1.0 - b) / (a * (b - 1.0))
@@ -354,10 +361,8 @@ class ScalingHypothesis:
 
 @dataclass
 class ThresholdReport:
-    ks: np.ndarray
     v: np.ndarray
     tail_min: float
-    tail_slope: float
     passed: bool
     root_test_value: float
     sqrt_c_deviation: float | None = None
@@ -408,9 +413,7 @@ def threshold_test(
     dev = None
     if sqrt_c is not None:
         dev = float(np.max(np.abs(v - sqrt_c)) / sqrt_c)
-    return ThresholdReport(
-        ks, v, tail_min, tail_slope, passed, math.exp(-tail_min), dev
-    )
+    return ThresholdReport(v, tail_min, passed, math.exp(-tail_min), dev)
 
 
 def delta_bound_theoretical(
@@ -451,18 +454,17 @@ class ScalingFit:
     exponent: float
     classification: str
     gap_min: float
-    intercept: float
 
 
 def scaling_fit(sizes, gaps, gap_floor: float = DEFAULT_GAP_FLOOR) -> ScalingFit:
     """Log-log slope of gap versus linear size with a coarse classification."""
     sizes = np.asarray(sizes, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
-    if sizes.size < 3:
-        raise CertificationError("insufficient data: need at least 3 points")
+    if np.unique(sizes).size < 3:
+        raise CertificationError("insufficient data: need at least 3 distinct sizes")
     if np.any(gaps <= 0):
         raise CertificationError("gapless at finite size: non-positive gap in data")
-    slope, intercept = np.polyfit(np.log(sizes), np.log(gaps), 1)
+    slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     gap_min = float(gaps.min())
     if abs(slope) < GAPPED_SLOPE and gap_min > gap_floor:
         cls = "gapped"
@@ -474,4 +476,4 @@ def scaling_fit(sizes, gaps, gap_floor: float = DEFAULT_GAP_FLOOR) -> ScalingFit
         cls = "faster-than-inverse-square"
     else:
         cls = "undetermined"
-    return ScalingFit(float(slope), cls, gap_min, float(np.exp(intercept)))
+    return ScalingFit(float(slope), cls, gap_min)

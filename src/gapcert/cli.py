@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,15 +54,6 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) if isinstance(x, (int, float)) or x is None else str(x) for x in row) + "\n")
-
-
-def parallel_map(fn, items, workers: int):
-    """Order-preserving map with an optional thread pool."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_graph(cfg):
@@ -147,7 +136,12 @@ def _parse_s_rule(rule: str | None):
         raise _malformed("s_rule", rule, "const:N or power:B")
     if kind == "const":
         return (lambda k: x), (float(x), 0.0)
-    return (lambda k: max(1, math.ceil(k ** x))), (1.0, x)
+
+    def power(k):  # +inf where k^x overflows: the caller clips s_k to l_k / 8
+        s_k = certification.power_or_inf(k, x)
+        return max(1, math.ceil(s_k)) if s_k < math.inf else s_k
+
+    return power, (1.0, x)
 
 
 def cmd_gap(args) -> int:
@@ -362,22 +356,17 @@ def cmd_scaling(args) -> int:
             sizes = [int(x) for x in str(cfg.sizes).split(",")]
     except ValueError:
         raise _malformed("sizes", cfg.sizes, "4:12 or 4,6,8") from None
-    workers = cfg.workers or (os.cpu_count() or 1)
     cfg.update(model=cfg.model or "heisenberg_fm")
-
-    def one(n: int):
+    rows = []
+    for n in sizes:
         g = chain_graph(n)
-        phi = build_model(cfg, g)
-        H = hamiltonian(phi, make_region(g.ids), cap=cfg.dim_cap)
+        H = hamiltonian(build_model(cfg, g), make_region(g.ids), cap=cfg.dim_cap)
         sd = spectral_data(H)
         if sd.gap is None:
             raise CertificationError("gapless at finite size")
-        return n, H.dim, sd.gap
-
-    results = parallel_map(one, sizes, workers)
-    rows = [[n, dim, gap] for n, dim, gap in results]
+        rows.append([n, H.dim, sd.gap])
     fit = certification.scaling_fit([r[0] for r in rows], [r[2] for r in rows], cfg.gap_floor)
-    for n, dim, gap in results:
+    for n, dim, gap in rows:
         print(f"n={n}  dim={dim}  gap={_fmt(gap)}")
     print(f"exponent {fit.exponent:.4f}  classification: {fit.classification}")
     if cfg.out_csv:
@@ -436,7 +425,6 @@ def make_parser() -> argparse.ArgumentParser:
     # flags beyond the model and geometry ones, each given only to the subcommands that read it
     options = {
         "--dim-cap": {"dest": "dim_cap", "type": int},
-        "--workers": {"type": int, "help": "0 = all cores"},
         "--out-csv": {"dest": "out_csv"},
         "--out-json": {"dest": "out_json"},
     }
@@ -482,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(fn=cmd_certify)
 
     p_scale = sub.add_parser("scaling", help="gap versus size exponent fit")
-    common(p_scale, "--dim-cap", "--out-csv", "--workers")
+    common(p_scale, "--dim-cap", "--out-csv")
     p_scale.add_argument("--sizes", help="4:12 or 4,6,8")
     p_scale.add_argument("--gap-floor", dest="gap_floor", type=float)
     p_scale.set_defaults(fn=cmd_scaling)

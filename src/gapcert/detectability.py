@@ -406,7 +406,6 @@ class SmuggleReport:
     residual: float
     degree: int
     budget_printed: int
-    budget_conservative: int
     t: float
 
 
@@ -426,7 +425,6 @@ def smuggle_check(
     if abs(_poly_at_zero(F) - 1.0) > 1e-12:
         raise ValueError("F(0) must equal 1")
     budget = printed_degree_budget(decomp.t, c_gamma, L, R)
-    conservative = conservative_degree_budget(decomp.t, c_gamma, L, R)
     if deg > budget:
         raise AdmissibilityError(
             f"degree exceeds smuggling budget: deg(F) = {deg} > {budget}"
@@ -437,7 +435,7 @@ def smuggle_check(
         dl.factors[:n_even] + [_GramPolynomial(F, T)] + dl.factors[n_even:], decomp.dim
     )
     residual = matfree_norm(Difference(dl, inserted))
-    return SmuggleReport(residual, deg, budget, conservative, decomp.t)
+    return SmuggleReport(residual, deg, budget, decomp.t)
 
 
 def refined_dl_bound(
@@ -469,7 +467,6 @@ class MaMbSplit:
     b_indices: list[float]
     support_A: Region
     support_B: Region
-    cut: float
     product_residual: float
 
 
@@ -539,7 +536,6 @@ def ma_mb_split(
                 eb + ob,
                 make_region(sup_a),
                 make_region(sup_b),
-                cut,
                 residual,
             )
     raise AdmissibilityError("split not admissible at this t: no valid column cut")
@@ -552,7 +548,6 @@ class OverlapReport:
     mid: float                 # 3 * dl_perp
     bound: float | None        # refined contraction bound (None if degenerate)
     rhs: float | None          # 3 * bound
-    lam: float
     L: int
     g_used: int
     admissible: bool
@@ -644,7 +639,6 @@ def overlap_bound_check(
         mid=3.0 * dl_perp,
         bound=bound,
         rhs=None if bound is None else 3.0 * bound,
-        lam=float(lam_clipped),
         L=L,
         g_used=g_used,
         admissible=admissible,

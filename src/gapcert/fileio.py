@@ -225,7 +225,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "s_rule": (str, None),        # "const:1" or "power:1.25"
     "seed": (int, 1234),
     "dim_cap": (int, DEFAULT_DIM_CAP),
-    "workers": (int, 0),          # 0 = number of cpus
     "out_csv": (str, None),
     "out_json": (str, None),
     "gap_floor": (float, DEFAULT_GAP_FLOOR),

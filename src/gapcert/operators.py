@@ -124,21 +124,18 @@ def hamiltonian(
 class SpectralData:
     """One region solve: the kernel and the gap of H.
 
-    eigenvalues holds the kernel levels followed by the gap level.  basis is
-    an orthonormal (dim, kernel_dim) kernel basis, sparse on the diagonal
-    path; the dense path leaves it None unless the caller asked for it.
-    norm is ||H|| on the dense and diagonal paths and the sum of the term
-    norms, an upper bound on ||H||, on the sparse path; kernel_tol is
-    KERNEL_REL_TOL * max(1, norm).  A sparse gap is a Ritz value with a
-    residual in H at most kernel_tol: it proves a level that close, not that
-    no lower excited level was missed, which only the dense solve rules out.
+    The kernel is the levels at or below KERNEL_REL_TOL * max(1, norm), with
+    norm ||H|| on the dense and diagonal paths and the sum of the term norms,
+    an upper bound on ||H||, on the sparse path.  basis is an orthonormal
+    (dim, kernel_dim) kernel basis, sparse on the diagonal path; the dense
+    path leaves it None unless the caller asked for it.  A sparse gap is a
+    Ritz value with a residual in H at most the tolerance: it proves a level
+    that close, not that no lower excited level was missed, which only the
+    dense solve rules out.
     """
 
-    eigenvalues: np.ndarray
     kernel_dim: int
     gap: float | None
-    norm: float
-    kernel_tol: float
     solver: str
     basis: object = None
 
@@ -182,15 +179,12 @@ def _not_psd(detail: str) -> InteractionError:
     )
 
 
-def _from_levels(w, tol: float, norm: float, solver: str, basis=None) -> SpectralData:
-    """SpectralData from ascending levels that include every kernel level."""
-    if w.size and w[0] < -tol:
-        raise _not_psd(f"lowest level {w[0]:.6g}")
-    kernel_dim = int((w <= tol).sum())
+def _from_levels(w, tol: float, solver: str, basis=None) -> SpectralData:
+    """SpectralData from levels, in any order, that include every kernel level."""
+    if w.size and w.min() < -tol:
+        raise _not_psd(f"lowest level {w.min():.6g}")
     above = w[w > tol]
-    gap = float(above[0]) if above.size else None
-    # a copy, so that the full spectrum of a large diagonal H is not kept alive
-    return SpectralData(w[: kernel_dim + 1].copy(), kernel_dim, gap, norm, tol, solver, basis)
+    return SpectralData(w.size - above.size, float(above.min()) if above.size else None, solver, basis)
 
 
 def _dense_solve(mat, with_basis: bool) -> SpectralData:
@@ -202,9 +196,8 @@ def _dense_solve(mat, with_basis: bool) -> SpectralData:
         w, v = sla.eigh(A, overwrite_a=True, driver="evd")
     else:
         w, v = sla.eigh(A, eigvals_only=True, overwrite_a=True, driver="evd"), None
-    norm = float(np.abs(w).max())
-    tol = _kernel_tol(norm)
-    return _from_levels(w, tol, norm, "dense", None if v is None else v[:, w <= tol])
+    tol = _kernel_tol(float(np.abs(w).max()))
+    return _from_levels(w, tol, "dense", None if v is None else v[:, w <= tol])
 
 
 def _term_norms(terms) -> list[float]:
@@ -229,29 +222,27 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     coo = mat.tocoo()
     if not np.any(coo.data[coo.row != coo.col]):
         diag = np.real(mat.diagonal())
-        norm = float(np.abs(diag).max())
-        tol = _kernel_tol(norm)
+        tol = _kernel_tol(float(np.abs(diag).max()))
         idx = np.flatnonzero(diag <= tol)
         V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
-        return _from_levels(np.sort(diag), tol, norm, "diagonal", V)
+        return _from_levels(diag, tol, "diagonal", V)
     if dim <= DENSE_CAP or norms is None:
         return _dense_solve(mat, with_basis)
-    norm = float(sum(norms))
-    tol = _kernel_tol(norm)
+    tol = _kernel_tol(float(sum(norms)))
     V = _grown_kernel(H, mat, tol)
     if V is None:
         if dim <= 2 * DENSE_CAP:
             return _dense_solve(mat, with_basis)
         raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
     if V.shape[1] == dim:  # every level within the tolerance
-        return _from_levels(np.zeros(dim), tol, norm, "sparse", V)
+        return SpectralData(dim, None, "sparse", V)
     # the terms are PSD (_term_norms) and sum to mat, so H is PSD and its
     # lowest level on ran(V)^perp is the gap
     v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
     gap, _, _ = _gap_lanczos(mat, V, v0, tol)
     if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
-    return _from_levels(np.append(np.zeros(V.shape[1]), gap), tol, norm, "sparse", V)
+    return SpectralData(V.shape[1], float(gap), "sparse", V)
 
 
 def _grown_kernel(H: GlobalOperator, mat, tol: float):

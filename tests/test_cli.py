@@ -201,6 +201,18 @@ class TestCertifyCommand:
         )
         assert code == EXIT_CODES["config"]
 
+    @pytest.mark.parametrize("rule", ["power:400", "power:1e308"])
+    def test_overflowing_power_rule_is_clipped(self, rule, capsys):
+        # k^B overflows a float: s_k is +inf before the clip to l_k / 8
+        code = run(
+            ["certify", "--model", "commuting_toy", "--length", "13",
+             "--k-min", "6", "--k-max", "6", "--s-rule", rule]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "s_k=1 " in out  # int(l_6 / 8) = 1
+        assert "certified lower bound" in out
+
 
 class TestScalingCommand:
     def test_fm_sweep_exponent(self, capsys, tmp_path):
@@ -221,8 +233,10 @@ class TestScalingCommand:
         assert code == 0
         assert "gapped" in out
 
-    def test_single_point_insufficient(self, capsys):
-        code = run(["scaling", "--model", "heisenberg_fm", "--sizes", "4"])
+    @pytest.mark.parametrize("sizes", ["4", "4,4,4"])
+    def test_single_point_insufficient(self, sizes, capsys):
+        # repeated sizes are one x value: no line to fit
+        code = run(["scaling", "--model", "heisenberg_fm", "--sizes", sizes])
         assert code == EXIT_CODES["not_certifiable"]
         assert "insufficient data" in capsys.readouterr().err
 
@@ -326,6 +340,7 @@ class TestSubcommandFlags:
             ("certify", "--workers", "3"),
             ("certify", "--out-json", "x.json"),
             ("scaling", "--out-json", "x.json"),
+            ("scaling", "--workers", "2"),
             ("coloring", "--dense-cap", "2"),
             ("coloring", "--dim-cap", "4"),
             ("coloring", "--workers", "3"),
@@ -347,20 +362,19 @@ class TestSubcommandFlags:
 
 # config keys whose flag each subcommand lacks, with a value each key accepts
 UNREAD_CONFIG_KEYS = {
-    "gap": "alpha axis_perms conservative_g gap_floor k_max k_min out_json s s_rule sizes t "
-           "workers",
-    "dl-check": "axis_perms dim_cap gap_floor k_max out_csv s_rule sizes workers",
-    "certify": "alpha conservative_g gap_floor out_json sizes t workers",
+    "gap": "alpha axis_perms conservative_g gap_floor k_max k_min out_json s s_rule sizes t",
+    "dl-check": "axis_perms dim_cap gap_floor k_max out_csv s_rule sizes",
+    "certify": "alpha conservative_g gap_floor out_json sizes t",
     "scaling": "alpha axis_perms conservative_g k_max k_min out_json s s_rule t",
     "coloring": "alpha axis_perms conservative_g dim_cap gap_floor k_max k_min out_csv out_json "
-                "s s_rule sizes t workers",
+                "s s_rule sizes t",
     "validate": "alpha axis_perms conservative_g gap_floor k_max k_min out_csv out_json s s_rule "
-                "sizes t workers",
+                "sizes t",
 }
 CONFIG_VALUES = {
     "alpha": "0", "axis_perms": "1", "conservative_g": "1", "dim_cap": "4096",
     "gap_floor": "0.05", "k_max": "6", "k_min": "6", "out_csv": "y.csv", "out_json": "x.json",
-    "s": "1", "s_rule": "const:1", "sizes": "4:6", "t": "2", "workers": "1",
+    "s": "1", "s_rule": "const:1", "sizes": "4:6", "t": "2",
 }
 
 
@@ -385,7 +399,8 @@ COMMANDS = ["gap", "dl-check", "certify", "scaling", "coloring", "validate"]
 
 
 class TestNoDenseCap:
-    """The region solve picks its solver from the region: no flag or key sets it."""
+    """Deleted knobs: the region solve picks its solver from the region, and
+    scaling solves its sizes in order; no flag or config key sets either."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_dense_cap_flag_is_usage_error(self, command, capsys):
@@ -395,11 +410,20 @@ class TestNoDenseCap:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_dense_cap_config_key_is_unknown(self, command, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("schema_version 1\nmodel heisenberg_fm\nlength 4\ndense_cap 64\n")
-        code = run([command, "--config", str(cfg)])
-        assert code == EXIT_CODES["config"]
-        assert "unknown config key: dense_cap" in capsys.readouterr().err
+        _assert_unknown_config_key(command, "dense_cap 64", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_workers_config_key_is_unknown(self, command, tmp_path, capsys):
+        # scaling solves its sizes in order: there is no worker pool to size
+        _assert_unknown_config_key(command, "workers 2", tmp_path, capsys)
+
+
+def _assert_unknown_config_key(command, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"schema_version 1\nmodel heisenberg_fm\nlength 4\n{line}\n")
+    code = run([command, "--config", str(cfg)])
+    assert code == EXIT_CODES["config"]
+    assert f"unknown config key: {line.split()[0]}" in capsys.readouterr().err
 
 
 CERTIFY_ARGS = ["--model", "heisenberg_fm", "--length", "12", "--k-min", "6", "--k-max", "6"]
