@@ -2,7 +2,10 @@
 
 Sites of a region are tensor factors in ascending vertex-id order; basis
 index of a product state is sum_i digit_i * d**(n-1-i) (first site most
-significant).  Everything here is dtype-preserving: real inputs stay real.
+significant).  A leaf on one contiguous run of factors p..p+m-1 applies on
+the (d^p, d^m, d^rest) reshape view of the vector, with no transpose or
+copy; a leaf on other positions moves its factors to the front and back.
+Everything here is dtype-preserving: real inputs stay real.
 """
 
 from __future__ import annotations
@@ -35,20 +38,6 @@ def _unfront(y: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.nd
     m = len(positions)
     yt = np.moveaxis(y.reshape((d,) * n), range(m), positions)
     return np.ascontiguousarray(yt).reshape(-1)
-
-
-def _apply_diagonal(
-    diag: np.ndarray, positions: tuple[int, ...], n: int, d: int, x: np.ndarray
-) -> np.ndarray:
-    """x times a diagonal acting on the given factors: one broadcast multiply.
-
-    diag has length d^m in the factors' own order; it is reshaped to d on
-    the positions and 1 elsewhere, so no d^n-sized diagonal is formed.
-    """
-    shape = [1] * n
-    for p in positions:
-        shape[p] = d
-    return (x.reshape((d,) * n) * diag.reshape(shape)).reshape(-1)
 
 
 def _one_hot_columns(V) -> bool:
@@ -112,15 +101,93 @@ def embed_sum(blocks, n: int, d: int) -> sp.csr_matrix:
     return H
 
 
+class _SiteLeaf:
+    """What the operators on the factors at self.positions share.
+
+    _place, run once per leaf, checks the positions and fixes how x is
+    viewed.  Positions that are one contiguous run p..p+m-1 view x as
+    (d^p, d^m, d^rest), with the run as the middle axis; any other positions
+    (2D-grid bonds and columns) view it as (d,)*n for a diagonal and go
+    through _front/_unfront for a matrix.
+    """
+
+    def _place(self, diag: np.ndarray | None) -> None:
+        self.positions = tuple(self.positions)
+        n, d, m = self.n, self.d, len(self.positions)
+        p = self.positions[0] if self.positions else 0
+        if any(not 0 <= q < n for q in self.positions):
+            raise ValueError(f"positions must lie in [0, {n})")
+        if list(self.positions) != sorted(set(self.positions)):
+            raise ValueError("positions must be strictly increasing")
+        run = self.positions == tuple(range(p, p + m))
+        self._view = (d ** p, d ** m, d ** (n - p - m)) if run else None
+        self._diag = diag
+        if diag is None:
+            return
+        if run:
+            self._xshape, self._dg = self._view, diag.reshape(-1, 1)
+        else:
+            shape = [1] * n
+            for q in self.positions:
+                shape[q] = d
+            self._xshape, self._dg = (d,) * n, diag.reshape(shape)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.d ** self.n, self.d ** self.n)
+
+    @property
+    def diagonal(self) -> bool:
+        """Applied as a broadcast multiply by a diagonal (see the subclasses)."""
+        return self._diag is not None
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._diag is not None:
+            return (x.reshape(self._xshape) * self._dg).reshape(-1)
+        return self._apply(self._mats, x)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply the conjugate transpose."""
+        if self._diag is not None:
+            return (x.reshape(self._xshape) * self._dg.conj()).reshape(-1)
+        return self._apply(self._rmats, x)
+
+    def _apply(self, mats, x: np.ndarray) -> np.ndarray:
+        """mats[-1] @ ... @ mats[0] on the positions, identity elsewhere.
+
+        On a run, one matmul per matrix on the view, with no transpose and no
+        copy; a run that ends at the last factor takes x as a (d^p, d^m)
+        matrix times the transpose instead, where the batched matmul is
+        about 3x slower.
+        """
+        if self._view is None:
+            y = _front(x, self.positions, self.n, self.d)
+            for mat in mats:
+                y = mat @ y
+            return _unfront(y, self.positions, self.n, self.d)
+        a, m, rest = self._view
+        if rest == 1:
+            y = x.reshape(a, m)
+            for mat in mats:
+                y = y @ mat.T
+        else:
+            y = x.reshape(a, m, rest)
+            for mat in mats:
+                y = np.matmul(mat, y)
+        return y.reshape(-1)
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_sparse().toarray()
+
+
 @dataclass(eq=False)
-class SiteBlockOperator:
+class SiteBlockOperator(_SiteLeaf):
     """A small matrix acting on selected tensor factors of a d^n space.
 
-    An apply moves the block's factors to the front (_front), multiplies by
-    the block once and moves them back (_unfront), as FactoredProjectorBlock
-    does, and never materializes the d^n x d^n matrix, so products of many
-    of these stay cheap.  A block with exact zeros off its diagonal is
-    applied as a broadcast multiply.
+    The positions must strictly increase within [0, n).  The block applies
+    as one matmul on its factors (see _SiteLeaf), never as the d^n x d^n
+    matrix, so products of many of these stay cheap.  A block with exact
+    zeros off its diagonal is applied as a broadcast multiply.
     """
 
     block: np.ndarray
@@ -129,55 +196,29 @@ class SiteBlockOperator:
     d: int
 
     def __post_init__(self):
-        self.positions = tuple(self.positions)
         m = len(self.positions)
         if self.block.shape != (self.d ** m, self.d ** m):
             raise ValueError("block dimension does not match positions")
-        if list(self.positions) != sorted(set(self.positions)):
-            raise ValueError("positions must be strictly increasing")
         diag = np.diagonal(self.block)
-        self._diag = diag.copy() if np.count_nonzero(self.block) == np.count_nonzero(diag) else None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d ** self.n, self.d ** self.n)
-
-    @property
-    def diagonal(self) -> bool:
-        """Exact zeros off the diagonal of the block."""
-        return self._diag is not None
-
-    def _apply(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        xf = _front(x, self.positions, self.n, self.d)
-        return _unfront(mat @ xf, self.positions, self.n, self.d)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self._diag is not None:
-            return _apply_diagonal(self._diag, self.positions, self.n, self.d, x)
-        return self._apply(self.block, x)
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        if self._diag is not None:
-            return _apply_diagonal(self._diag.conj(), self.positions, self.n, self.d, x)
-        return self._apply(self.block.conj().T, x)
+        diagonal = np.count_nonzero(self.block) == np.count_nonzero(diag)
+        self._place(diag.copy() if diagonal else None)
+        self._mats, self._rmats = (self.block,), (self.block.conj().T,)
 
     def to_sparse(self) -> sp.csr_matrix:
         return embed_sum([(self.block, self.positions)], self.n, self.d)
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
-
 
 @dataclass(eq=False)
-class FactoredProjectorBlock:
+class FactoredProjectorBlock(_SiteLeaf):
     """V V^dag acting on selected tensor factors, kept in factored form.
 
     For kernel projectors of large sub-regions the rank is tiny compared to
-    the block dimension, so applying two skinny matmuls beats storing the
-    d^m x d^m projector.  The basis may be dense or sparse (one-hot kernel
-    bases of diagonal Hamiltonians stay sparse).  A basis with at most one
-    stored entry per column makes V V^dag diagonal, applied as a broadcast
-    multiply.
+    the block dimension, so applying two skinny matmuls (placed as in
+    _SiteLeaf) beats storing the d^m x d^m projector.  The positions must
+    strictly increase within [0, n).  The basis may be dense or sparse
+    (one-hot kernel bases of diagonal Hamiltonians stay sparse).  A basis
+    with at most one stored entry per column makes V V^dag diagonal, applied
+    as a broadcast multiply; any other sparse basis is applied densely.
     """
 
     basis: object  # (d^m, r) ndarray or sparse, orthonormal columns
@@ -186,35 +227,16 @@ class FactoredProjectorBlock:
     d: int
 
     def __post_init__(self):
-        self.positions = tuple(self.positions)
-        m = len(self.positions)
-        if self.basis.shape[0] != self.d ** m:
+        if self.basis.shape[0] != self.d ** len(self.positions):
             raise ValueError("basis rows do not match positions")
-        self._diag = None
-        if _one_hot_columns(self.basis):
-            V = self.basis
-            abs2 = V.multiply(V.conj()) if sp.issparse(V) else V * V.conj()
-            self._diag = np.asarray(abs2.sum(axis=1)).reshape(-1)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d ** self.n, self.d ** self.n)
-
-    @property
-    def diagonal(self) -> bool:
-        """At most one stored entry per basis column."""
-        return self._diag is not None
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self._diag is not None:
-            return _apply_diagonal(self._diag, self.positions, self.n, self.d, x)
         V = self.basis
-        xf = _front(x, self.positions, self.n, self.d)
-        yf = np.asarray(V @ (V.conj().T @ xf))
-        y = _unfront(yf, self.positions, self.n, self.d)
-        return y.astype(np.result_type(V.dtype, x.dtype), copy=False)
-
-    rmatvec = matvec  # Hermitian
+        if _one_hot_columns(V):
+            abs2 = V.multiply(V.conj()) if sp.issparse(V) else V * V.conj()
+            self._place(np.asarray(abs2.sum(axis=1)).reshape(-1))
+        else:
+            self._place(None)
+            V = V.toarray() if sp.issparse(V) else V
+            self._mats = self._rmats = (V.conj().T, V)  # Hermitian
 
     def block_matrix(self) -> np.ndarray:
         V = self.basis.toarray() if sp.issparse(self.basis) else self.basis
@@ -223,8 +245,48 @@ class FactoredProjectorBlock:
     def to_sparse(self) -> sp.csr_matrix:
         return embed_sum([(self.block_matrix(), self.positions)], self.n, self.d)
 
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+
+class _DiagonalRun(_SiteLeaf):
+    """Consecutive diagonal leaves of a chain, multiplied into one diagonal
+    on the contiguous span of their sites: one broadcast multiply per apply."""
+
+    def __init__(self, leaves: list[_SiteLeaf]):
+        self.n, self.d = leaves[0].n, leaves[0].d
+        sites = sorted({p for f in leaves for p in f.positions})
+        lo = sites[0] if sites else 0
+        span = sites[-1] - lo + 1 if sites else 0
+        diag = np.ones((self.d,) * span)
+        for f in leaves:
+            shape = [1] * span
+            for p in f.positions:
+                shape[p - lo] = self.d
+            diag = diag * f._diag.reshape(shape)
+        self.positions = tuple(range(lo, lo + span))
+        self._place(diag.reshape(-1))
+
+
+def _fusable(f) -> bool:
+    return isinstance(f, _SiteLeaf) and f.diagonal
+
+
+def _span_dim(leaves: list[_SiteLeaf]) -> int:
+    """d to the number of factors from the first to the last site of the leaves."""
+    sites = [p for f in leaves for p in f.positions]
+    return leaves[0].d ** (max(sites) - min(sites) + 1) if sites else 1
+
+
+def _apply_plan(factors: list) -> list:
+    """The factors, with each run of consecutive diagonal leaves whose sites
+    span at most MATERIALIZE_CAP entries multiplied into one _DiagonalRun."""
+    groups = []
+    for f in factors:
+        if groups and _fusable(f) and _fusable(groups[-1][0]) and (
+            _span_dim(groups[-1] + [f]) <= MATERIALIZE_CAP
+        ):
+            groups[-1].append(f)
+        else:
+            groups.append([f])
+    return [_DiagonalRun(g) if len(g) > 1 else g[0] for g in groups]
 
 
 class OperatorChain:
@@ -232,11 +294,15 @@ class OperatorChain:
 
     Every factor is an operator with shape, matvec and rmatvec (to_dense too,
     for materializing the product).  An empty chain is the identity.
+    factors stays the caller's list; the applies run through a plan built
+    once, in which each run of consecutive diagonal leaves whose sites span
+    at most MATERIALIZE_CAP entries is one precomputed diagonal.
     """
 
     def __init__(self, factors, dim: int):
         self.factors = list(factors)
         self.dim = dim
+        self._plan = _apply_plan(self.factors)
 
     @property
     def shape(self):
@@ -247,13 +313,13 @@ class OperatorChain:
         return all(getattr(f, "diagonal", False) for f in self.factors)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        for f in reversed(self.factors):
+        for f in reversed(self._plan):
             x = f.matvec(x)
         return x
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the conjugate transpose of the chain."""
-        for f in self.factors:
+        for f in self._plan:
             x = f.rmatvec(x)
         return x
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -610,7 +612,8 @@ def _dense_spectral_norm(M):
 
 
 class TestGridSupports:
-    """dl-check on 2D grids, whose columns and bonds sit on non-adjacent tensor factors."""
+    """dl-check on 2D grids, whose columns and bonds sit on non-adjacent tensor
+    factors, and on chains, whose factors are contiguous."""
 
     @pytest.mark.parametrize(
         "model, grid, alpha, diagonal",
@@ -625,34 +628,71 @@ class TestGridSupports:
     def test_dl_norms_match_materialized_chain(
         self, model, grid, alpha, diagonal, monkeypatch, tmp_path, capsys
     ):
-        import json
+        argv = ["--model", model, "--grid", grid, "--t", "2", "--alpha", alpha]
+        _check_dl_norms(argv, diagonal, alpha == "1", monkeypatch, tmp_path)
 
-        from gapcert import _tensor
+    def test_qutrit_chain_dl_norms_match_materialized_chain(self, monkeypatch, tmp_path):
+        # d = 3, 3^7 = 2187, non-diagonal factors on contiguous runs
+        argv = ["--model", "aklt", "--length", "7", "--t", "2"]
+        _check_dl_norms(argv, False, False, monkeypatch, tmp_path)
+
+    def test_view_and_front_paths_agree(self, tmp_path):
+        # --alpha 0 puts each column on contiguous factors (applied on a view of
+        # the vector), --alpha 1 on non-adjacent ones (moved to the front)
         from gapcert.cli import main
 
-        normed = []
-        real = _tensor.matfree_norm
+        payloads = []
+        for alpha in ("0", "1"):
+            js = tmp_path / f"dl{alpha}.json"
+            argv = ["dl-check", "--model", "heisenberg_fm", "--grid", "3x3", "--t", "2"]
+            assert main(argv + ["--alpha", alpha, "--out-json", str(js)]) == 0
+            payloads.append(json.loads(js.read_text()))
+        numbers = [_json_numbers({k: v for k, v in p.items() if k != "columns"}) for p in payloads]
+        assert len(numbers[0]) == len(numbers[1]) > 0
+        assert np.allclose(numbers[0], numbers[1], rtol=0.0, atol=1e-12)
+        assert [c["ok"] for c in payloads[0]["checks"]] == [c["ok"] for c in payloads[1]["checks"]]
 
-        def recording(op):
-            value = real(op)
-            normed.append((op, value))
-            return value
 
-        # the battery imports matfree_norm when it runs, so it calls the
-        # recorder for ||DL(t)|| and then ||DL(t) P_perp||
-        monkeypatch.setattr(_tensor, "matfree_norm", recording)
-        js = tmp_path / "dl.json"
-        argv = ["dl-check", "--model", model, "--grid", grid, "--t", "2", "--alpha", alpha]
-        assert main(argv + ["--out-json", str(js)]) == 0
-        payload = json.loads(js.read_text())
-        assert all(c["ok"] for c in payload["checks"])
-        (dl, dl_norm), (dl_p, dl_perp) = normed
-        assert dl_p.factors[:-1] == dl.factors
-        assert payload["dl_perp"] == dl_perp
-        assert dl.diagonal == dl_p.diagonal == diagonal
-        positions = [f.positions for f in dl.factors]
-        assert any(np.any(np.diff(p) > 1) for p in positions) == (alpha == "1")
-        assert abs(dl_norm - _dense_spectral_norm(dl.to_dense())) <= 1e-10
-        assert abs(dl_perp - _dense_spectral_norm(dl_p.to_dense())) <= 1e-10
-        if diagonal:
-            assert (dl_norm, dl_perp) == (1.0, 0.0)
+def _json_numbers(value) -> list[float]:
+    """Every number of a JSON value, those written inside strings included, in order."""
+    if isinstance(value, dict):
+        return [x for k in sorted(value) for x in _json_numbers(value[k])]
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    if isinstance(value, str):
+        return [float(x) for x in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", value)]
+    if isinstance(value, bool) or value is None:
+        return []
+    return [float(value)]
+
+
+def _check_dl_norms(argv, diagonal, non_adjacent, monkeypatch, tmp_path):
+    """Run dl-check and compare ||DL(t)|| and ||DL(t) P_perp|| with the dense norms."""
+    from gapcert import _tensor
+    from gapcert.cli import main
+
+    normed = []
+    real = _tensor.matfree_norm
+
+    def recording(op):
+        value = real(op)
+        normed.append((op, value))
+        return value
+
+    # the battery imports matfree_norm when it runs, so it calls the
+    # recorder for ||DL(t)|| and then ||DL(t) P_perp||
+    monkeypatch.setattr(_tensor, "matfree_norm", recording)
+    js = tmp_path / "dl.json"
+    assert main(["dl-check"] + argv + ["--out-json", str(js)]) == 0
+    payload = json.loads(js.read_text())
+    assert all(c["ok"] for c in payload["checks"])
+    (dl, dl_norm), (dl_p, dl_perp) = normed
+    assert dl_p.factors[:-1] == dl.factors
+    assert payload["dl_perp"] == dl_perp
+    assert dl.diagonal == dl_p.diagonal == diagonal
+    positions = [f.positions for f in dl.factors]
+    assert any(np.any(np.diff(p) > 1) for p in positions) == non_adjacent
+    assert abs(dl_norm - _dense_spectral_norm(dl.to_dense())) <= 1e-10
+    assert abs(dl_perp - _dense_spectral_norm(dl_p.to_dense())) <= 1e-10
+    if diagonal:
+        assert (dl_norm, dl_perp) == (1.0, 0.0)

@@ -66,7 +66,16 @@ def _leaf(rng, kind, n, d, complex_):
         return ProjectorFromBasis(basis, d ** n, complement=bool(rng.integers(2)))
     # a factored or diagonal block may act on no site at all
     m = int(rng.integers(1 if kind == "block" else 0, min(n, 3) + 1))
-    positions = tuple(int(p) for p in sorted(rng.choice(n, size=m, replace=False)))
+    start = int(rng.integers(0, n - m + 1))
+    # any sites (the _front path), or one contiguous run (the view path): at
+    # the first sites, at the last sites (nothing after the run), or anywhere
+    positions = [
+        sorted(rng.choice(n, size=m, replace=False)),
+        range(m),
+        range(n - m, n),
+        range(start, start + m),
+    ][int(rng.integers(4))]
+    positions = tuple(int(p) for p in positions)
     if kind == "block":
         return SiteBlockOperator(_matrix(rng, d ** m, d ** m, complex_), positions, n, d)
     if kind == "diagonal block":
@@ -79,11 +88,16 @@ def _leaf(rng, kind, n, d, complex_):
 
 @st.composite
 def chains(draw, d=None, n=None, kinds=KINDS):
-    """Random OperatorChain of up to four leaves of the given kinds; qutrit chains stop at n = 4."""
+    """Random OperatorChain of up to four draws of the given kinds; qutrit chains stop at n = 4.
+
+    A diagonal kind draws one to three adjacent leaves.
+    """
     d = draw(st.sampled_from([2, 3])) if d is None else d
     n = draw(st.integers(1, 6 if d == 2 else 4)) if n is None else n
     complex_ = draw(st.booleans())
     kinds = draw(st.lists(st.sampled_from(kinds), max_size=4))
+    # a diagonal kind may come as a run of adjacent leaves, which the chain fuses
+    kinds = [k for k in kinds for _ in range(draw(st.integers(1, 3)) if k in DIAGONAL_KINDS else 1)]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return OperatorChain([_leaf(rng, k, n, d, complex_) for k in kinds], d ** n)
 
@@ -104,6 +118,54 @@ def _assert_applies_match(op, dense):
 @given(chains())
 def test_chain_applies_match_dense(chain):
     _assert_applies_match(chain, chain.to_dense())
+
+
+_SWAP_BIT = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SiteBlockOperator(_SWAP_BIT, (-1,), 6, 2),
+        lambda: SiteBlockOperator(_SWAP_BIT, (6,), 6, 2),
+        lambda: SiteBlockOperator(np.eye(2), (7,), 6, 2),
+        lambda: FactoredProjectorBlock(np.eye(2)[:, :1], (6,), 6, 2),
+        lambda: FactoredProjectorBlock(np.eye(2)[:, :1], (-1,), 6, 2),
+        lambda: FactoredProjectorBlock(np.eye(4)[:, :2], (2, 1), 6, 2),
+        lambda: FactoredProjectorBlock(np.eye(4)[:, :2], (1, 1), 6, 2),
+    ],
+    ids=[
+        "block-negative", "block-past-end", "diagonal-block-past-end", "one-hot-past-end",
+        "one-hot-negative", "factored-decreasing", "factored-repeated",
+    ],
+)
+def test_leaf_positions_checked_at_construction(make):
+    with pytest.raises(ValueError, match="positions"):
+        make()
+
+
+def test_fused_diagonal_runs_match_unfused_bit_for_bit():
+    # dyadic entries times 1 or i: every product is exact, in any order
+    n, d = 13, 2
+    rng = np.random.default_rng(3)
+
+    def dyadic(size):
+        return rng.integers(-8, 9, size) / 8 * rng.choice([1.0, 1j], size)
+
+    positions = [(0, 1), (2,), (1, 2, 3), (5, 7), (12,), (11, 12), (6,)]
+    factors = [SiteBlockOperator(np.diag(dyadic(d ** len(p))), p, n, d) for p in positions]
+    chain = OperatorChain(factors, d ** n)
+    # the first four span sites 0..7; adding site 12 would span 2^13 entries,
+    # above MATERIALIZE_CAP, so the last three are a second run
+    assert len(chain._plan) == 2
+    x = dyadic(d ** n)
+    y, z = x, x
+    for f in reversed(factors):
+        y = f.matvec(y)
+    for f in factors:
+        z = f.rmatvec(z)
+    assert np.array_equal(chain.matvec(x), y)
+    assert np.array_equal(chain.rmatvec(x), z)
 
 
 def test_empty_and_one_factor_chains_materialize_exactly():
