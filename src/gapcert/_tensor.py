@@ -2,9 +2,10 @@
 
 Sites of a region are tensor factors in ascending vertex-id order; basis
 index of a product state is sum_i digit_i * d**(n-1-i) (first site most
-significant).  A leaf on one contiguous run of factors p..p+m-1 applies on
-the (d^p, d^m, d^rest) reshape view of the vector, with no transpose or
-copy; a leaf on other positions moves its factors to the front and back.
+significant).  A diagonal leaf is one broadcast multiply on the (d,)*n
+view of the vector.  A matrix leaf on one contiguous run of factors
+p..p+m-1 applies on the (d^p, d^m, d^rest) reshape view, with no transpose
+or copy; on other positions it moves its factors to the front and back.
 Everything here is dtype-preserving: real inputs stay real.
 """
 
@@ -22,7 +23,8 @@ from .errors import DimensionCapError, EigensolverError
 # start vector of the Lanczos norm; it steers convergence, not the converged value
 DEFAULT_NORM_SEED = 7
 NORM_TOL = 1e-10
-# largest product-space dimension that OperatorChain.to_dense materializes
+# largest product-space dimension that OperatorChain.to_dense materializes;
+# also the most entries of one fused diagonal run in OperatorChain's apply plan
 MATERIALIZE_CAP = 4096
 
 
@@ -105,10 +107,10 @@ class _SiteLeaf:
     """What the operators on the factors at self.positions share.
 
     _place, run once per leaf, checks the positions and fixes how x is
-    viewed.  Positions that are one contiguous run p..p+m-1 view x as
-    (d^p, d^m, d^rest), with the run as the middle axis; any other positions
-    (2D-grid bonds and columns) view it as (d,)*n for a diagonal and go
-    through _front/_unfront for a matrix.
+    viewed.  A diagonal multiplies x viewed as (d,)*n by broadcast, on any
+    positions.  A matrix on one contiguous run p..p+m-1 views x as
+    (d^p, d^m, d^rest), with the run as the middle axis; on any other
+    positions (2D-grid bonds and columns) it goes through _front/_unfront.
     """
 
     def _place(self, diag: np.ndarray | None) -> None:
@@ -122,15 +124,11 @@ class _SiteLeaf:
         run = self.positions == tuple(range(p, p + m))
         self._view = (d ** p, d ** m, d ** (n - p - m)) if run else None
         self._diag = diag
-        if diag is None:
-            return
-        if run:
-            self._xshape, self._dg = self._view, diag.reshape(-1, 1)
-        else:
+        if diag is not None:
             shape = [1] * n
             for q in self.positions:
                 shape[q] = d
-            self._xshape, self._dg = (d,) * n, diag.reshape(shape)
+            self._dg = diag.reshape(shape)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,13 +141,13 @@ class _SiteLeaf:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._diag is not None:
-            return (x.reshape(self._xshape) * self._dg).reshape(-1)
+            return (x.reshape((self.d,) * self.n) * self._dg).reshape(-1)
         return self._apply(self._mats, x)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the conjugate transpose."""
         if self._diag is not None:
-            return (x.reshape(self._xshape) * self._dg.conj()).reshape(-1)
+            return (x.reshape((self.d,) * self.n) * self._dg.conj()).reshape(-1)
         return self._apply(self._rmats, x)
 
     def _apply(self, mats, x: np.ndarray) -> np.ndarray:

@@ -632,8 +632,8 @@ class TestGridSupports:
         _check_dl_norms(argv, diagonal, alpha == "1", monkeypatch, tmp_path)
 
     def test_qutrit_chain_dl_norms_match_materialized_chain(self, monkeypatch, tmp_path):
-        # d = 3, 3^7 = 2187, non-diagonal factors on contiguous runs
-        argv = ["--model", "aklt", "--length", "7", "--t", "2"]
+        # d = 3, 3^6 = 729, non-diagonal factors on contiguous runs
+        argv = ["--model", "aklt", "--length", "6", "--t", "2"]
         _check_dl_norms(argv, False, False, monkeypatch, tmp_path)
 
     def test_view_and_front_paths_agree(self, tmp_path):
