@@ -6,11 +6,14 @@ significant).  A diagonal leaf is one broadcast multiply on the (d,)*n
 view of the vector.  A matrix leaf on one contiguous run of factors
 p..p+m-1 applies on the (d^p, d^m, d^rest) reshape view, with no transpose
 or copy; on other positions it moves its factors to the front and back.
+Every diagonal operator also gives its diagonal by slabs of rows
+(diagonal_slab), from which matfree_norm reads its norm with no apply.
 Everything here is dtype-preserving: real inputs stay real.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,8 @@ from .errors import DimensionCapError, EigensolverError
 DEFAULT_NORM_SEED = 7
 NORM_TOL = 1e-10
 # largest product-space dimension that OperatorChain.to_dense materializes;
-# also the most entries of one fused diagonal run in OperatorChain's apply plan
+# also the most entries of one fused diagonal run in OperatorChain's apply
+# plan, and of one slab of a diagonal norm (matfree_norm)
 MATERIALIZE_CAP = 4096
 
 
@@ -48,6 +52,11 @@ def _one_hot_columns(V) -> bool:
     return bool(np.all(counts <= 1))
 
 
+def zero_off_diagonal(block) -> bool:
+    """True when the block has exact zeros off its diagonal (no tolerance)."""
+    return np.count_nonzero(block) == np.count_nonzero(np.diagonal(block))
+
+
 def _offsets(positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
     """Basis index of each local basis state of the given factors, digits elsewhere 0."""
     out = np.zeros(1, dtype=np.int64)
@@ -64,26 +73,39 @@ def _diagonal_csr(diag: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((diag[idx], idx, indptr), shape=(diag.size, diag.size))
 
 
+def _placed(diag: np.ndarray, positions, n: int, d: int) -> np.ndarray:
+    """diag reshaped to d on the given factor positions and 1 elsewhere."""
+    shape = [1] * n
+    for p in positions:
+        shape[p] = d
+    return np.asarray(diag).reshape(shape)
+
+
+def diagonal_sum(blocks, n: int, d: int) -> np.ndarray:
+    """Sum of the diagonals of blocks, each added by broadcast on its factor
+    positions, as one (d,)*n array (blocks as in embed_sum).  Its dtype is
+    float64, or complex128 when a block is complex."""
+    dtype = np.result_type(np.float64, *(np.asarray(b).dtype for b, _ in blocks))
+    diag = np.zeros((d,) * n, dtype=dtype)
+    for block, positions in blocks:
+        diag += _placed(np.diagonal(block), positions, n, d)
+    return diag
+
+
 def embed_sum(blocks, n: int, d: int) -> sp.csr_matrix:
     """Sum of blocks, each acting on its factor positions and identity elsewhere (CSR).
 
     blocks is a list of (block, positions) with block d^m x d^m in the
-    factors' own order.  Every diagonal is added by broadcast into one
-    (d,)*n vector; an off-diagonal entry (r, c) of a block lands on the
-    rows offset(r) + offset(rest) and columns offset(c) + offset(rest),
-    where offset sums the digits times the place values of their factors.
-    The CSR matrix is built once and holds no explicit zeros.  Its dtype is
-    float64, or complex128 when a block is complex.
+    factors' own order.  The diagonal is diagonal_sum(blocks); an
+    off-diagonal entry (r, c) of a block lands on the rows offset(r) +
+    offset(rest) and columns offset(c) + offset(rest), where offset sums the
+    digits times the place values of their factors.  The CSR matrix is built
+    once and holds no explicit zeros; its dtype is that of the diagonal.
     """
-    dtype = np.result_type(np.float64, *(np.asarray(b).dtype for b, _ in blocks))
-    diag = np.zeros((d,) * n, dtype=dtype)
+    diag = diagonal_sum(blocks, n, d)
     rows, cols, vals = [], [], []
     for block, positions in blocks:
         block = np.asarray(block)
-        shape = [1] * n
-        for p in positions:
-            shape[p] = d
-        diag += np.diagonal(block).reshape(shape)
         r, c = np.nonzero(block)
         r, c = r[r != c], c[r != c]
         if r.size:
@@ -96,7 +118,7 @@ def embed_sum(blocks, n: int, d: int) -> sp.csr_matrix:
     if rows:
         off = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=H.shape, dtype=dtype,
+            shape=H.shape, dtype=diag.dtype,
         )
         # off-diagonal entries never meet the diagonal; the sum drops cancelled ones
         H = H + off
@@ -125,10 +147,8 @@ class _SiteLeaf:
         self._view = (d ** p, d ** m, d ** (n - p - m)) if run else None
         self._diag = diag
         if diag is not None:
-            shape = [1] * n
-            for q in self.positions:
-                shape[q] = d
-            self._dg = diag.reshape(shape)
+            self._dg = _placed(diag, self.positions, n, d)
+            self._slab_layouts, self._last_slab = {}, (None, None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -149,6 +169,36 @@ class _SiteLeaf:
         if self._diag is not None:
             return (x.reshape((self.d,) * self.n) * self._dg.conj()).reshape(-1)
         return self._apply(self._rmats, x)
+
+    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
+        """Diagonal entries start..stop-1 (see matfree_norm), cut from the d^k
+        rows whose leading digits are fixed that hold them, for the smallest
+        k with stop - start dividing d^k.  Read-only: the slab of the last
+        leading digits is kept, and reused while they do not change."""
+        d = self.d
+        if stop - start not in self._slab_layouts:
+            self._slab_layouts[stop - start] = self._slab_layout(stop - start)
+        k, places, table, ones = self._slab_layouts[stop - start]
+        base = start - start % d ** k
+        digits = tuple(base // p % d for p in places)
+        if self._last_slab[0] != (k, digits):
+            slab = (table[digits] * ones).reshape(-1)
+            slab.flags.writeable = False
+            self._last_slab = ((k, digits), slab)
+        return self._last_slab[1][start - base: stop - base]
+
+    def _slab_layout(self, size: int):
+        """k; the place values of the positions among the leading n - k
+        digits; the diagonal indexed by those digits, its trailing axes
+        merged into runs of placed and of broadcast ones; and the ones that
+        spread it over the d^k rows."""
+        n, d = self.n, self.d
+        k = next(k for k in range(n + 1) if d ** k % size == 0)
+        lead = [q for q in self.positions if q < n - k]
+        runs = [(s, len(list(g))) for s, g in itertools.groupby(self._dg.shape[n - k:])]
+        table = self._dg.reshape((d,) * len(lead) + tuple(s ** c for s, c in runs))
+        ones = np.ones(tuple(d ** c for _, c in runs))
+        return k, [d ** (n - 1 - q) for q in lead], table, ones
 
     def _apply(self, mats, x: np.ndarray) -> np.ndarray:
         """mats[-1] @ ... @ mats[0] on the positions, identity elsewhere.
@@ -197,9 +247,8 @@ class SiteBlockOperator(_SiteLeaf):
         m = len(self.positions)
         if self.block.shape != (self.d ** m, self.d ** m):
             raise ValueError("block dimension does not match positions")
-        diag = np.diagonal(self.block)
-        diagonal = np.count_nonzero(self.block) == np.count_nonzero(diag)
-        self._place(diag.copy() if diagonal else None)
+        diagonal = zero_off_diagonal(self.block)
+        self._place(np.diagonal(self.block).copy() if diagonal else None)
         self._mats, self._rmats = (self.block,), (self.block.conj().T,)
 
     def to_sparse(self) -> sp.csr_matrix:
@@ -255,10 +304,7 @@ class _DiagonalRun(_SiteLeaf):
         span = sites[-1] - lo + 1 if sites else 0
         diag = np.ones((self.d,) * span)
         for f in leaves:
-            shape = [1] * span
-            for p in f.positions:
-                shape[p - lo] = self.d
-            diag = diag * f._diag.reshape(shape)
+            diag = diag * _placed(f._diag, [p - lo for p in f.positions], span, self.d)
         self.positions = tuple(range(lo, lo + span))
         self._place(diag.reshape(-1))
 
@@ -321,6 +367,16 @@ class OperatorChain:
             x = f.rmatvec(x)
         return x
 
+    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
+        """The plan's slabs multiplied in the order of matvec on ones (whose
+        first product, by 1, is exact and skipped)."""
+        if not self._plan:
+            return np.ones(stop - start)
+        out = self._plan[-1].diagonal_slab(start, stop)
+        for f in reversed(self._plan[:-1]):
+            out = f.diagonal_slab(start, stop) * out
+        return out
+
     def to_dense(self) -> np.ndarray:
         if self.dim > MATERIALIZE_CAP:
             raise DimensionCapError(
@@ -355,6 +411,9 @@ class Difference:
     def rmatvec(self, x):
         return self.a.rmatvec(x) - self.b.rmatvec(x)
 
+    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
+        return self.a.diagonal_slab(start, stop) - self.b.diagonal_slab(start, stop)
+
 
 class ProjectorFromBasis:
     """Orthogonal projector V V^dag given an orthonormal (possibly sparse) basis V."""
@@ -364,6 +423,11 @@ class ProjectorFromBasis:
         self.dim = dim
         self.complement = complement
         self._one_hot = _one_hot_columns(basis)
+        if self._one_hot:
+            # the diagonal of V V^dag: |v|^2 on the sorted rows of the entries
+            V = sp.coo_matrix(basis)
+            self._rows, inverse = np.unique(V.row, return_inverse=True)
+            self._abs2 = np.bincount(inverse, (V.data * V.data.conj()).real, self._rows.size)
 
     @property
     def shape(self):
@@ -381,6 +445,12 @@ class ProjectorFromBasis:
 
     rmatvec = matvec  # Hermitian
 
+    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
+        lo, hi = np.searchsorted(self._rows, (start, stop))
+        out = np.zeros(stop - start)
+        out[self._rows[lo:hi] - start] = self._abs2[lo:hi]
+        return 1.0 - out if self.complement else out
+
     def to_dense(self):
         V = self.basis
         V = V.toarray() if sp.issparse(V) else V
@@ -391,8 +461,12 @@ class ProjectorFromBasis:
 def matfree_norm(op) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
-    A diagonal operator (its diagonal flag set) has the largest |entry| of
-    op.matvec(ones) as its norm, exact from one apply.  Otherwise, up to
+    A diagonal operator (its diagonal flag set) has its largest |entry| as
+    its norm, a running max over slabs of at most MATERIALIZE_CAP rows, each
+    from op.diagonal_slab: rows start..stop-1, with stop - start the largest
+    divisor of the dimension not above MATERIALIZE_CAP (for a prime d, the
+    rows whose leading digits are fixed).  No matvec, no full-length vector,
+    no Lanczos.  Otherwise, up to
     dimension 32 the matrix is built from matvec on the identity columns and
     its norm taken densely; above, Lanczos on the Gram operator op^dag op,
     scaled to order one, so that a tiny norm converges like any other; only
@@ -402,7 +476,9 @@ def matfree_norm(op) -> float:
     """
     n = op.shape[1]
     if getattr(op, "diagonal", False):
-        return float(np.abs(op.matvec(np.ones(n))).max())
+        size = next(s for s in range(min(n, MATERIALIZE_CAP), 0, -1) if n % s == 0)
+        slab_max = [np.abs(op.diagonal_slab(lo, lo + size)).max() for lo in range(0, n, size)]
+        return float(np.max(slab_max))
     if n <= 32:
         dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         return float(np.linalg.norm(dense, 2))

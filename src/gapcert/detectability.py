@@ -4,8 +4,8 @@ refined contraction bound, and the two-sided overlap argument.
 
 Operators here are kept as products of small site-blocks and applied
 matrix-free; norms go through Lanczos on the Gram operator, or come exact
-from one apply when every factor is diagonal.  Explicit dense matrices are
-only materialized for cross-checks at small dimension.
+from the diagonal, slab by slab, when every factor is diagonal.  Explicit
+dense matrices are only materialized for cross-checks at small dimension.
 """
 
 from __future__ import annotations
@@ -367,13 +367,23 @@ class _GramPolynomial:
         return x - self.T.rmatvec(self.T.matvec(x))
 
     def matvec(self, x):
+        return self._polynomial(self._S, x)
+
+    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
+        """The recurrence on ones, with S the slab 1 - |t|^2 of a diagonal T."""
+        t = self.T.diagonal_slab(start, stop)
+        s = 1.0 - (t.conj() * t).real
+        return self._polynomial(lambda v: s * v, np.ones(stop - start))
+
+    def _polynomial(self, S, x):
+        """F(S) x, given S as a function that applies it."""
         F = self.F
         if isinstance(F, ChebyshevStep):
             scale = 2.0 / (1.0 - F.gamma)
 
             def w(v):
                 # w(S) = 2 (1 - S) / (1 - gamma) - 1
-                return scale * (v - self._S(v)) - v
+                return scale * (v - S(v)) - v
 
             b_prev, b = x, w(x)
             for _ in range(F.q - 1):
@@ -381,7 +391,7 @@ class _GramPolynomial:
             return b / F.denominator
         out = self.coeffs[-1] * x
         for c in self.coeffs[-2::-1]:
-            out = self._S(out) + c * x
+            out = S(out) + c * x
         return out
 
     rmatvec = matvec  # Hermitian: real coefficients in the Hermitian S

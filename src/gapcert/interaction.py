@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tensor import embed_sum
 from .errors import InteractionError
 from .lattice import EmbeddedGraph, Region, graph_distance, make_region
 
@@ -228,12 +227,21 @@ def support_overlap_degree(phi: Interaction) -> int:
     return best
 
 
+def _dense_on(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """block on the given factors of n, identity on the rest, as a dense matrix."""
+    order = list(positions) + [p for p in range(n) if p not in positions]
+    full = np.kron(block, np.eye(d ** (n - len(positions)))).reshape((d,) * (2 * n))
+    inverse = list(np.argsort(order))
+    return full.transpose(inverse + [n + q for q in inverse]).reshape(d ** n, d ** n)
+
+
 def commutation_degree(phi: Interaction, support_only: bool = False) -> int:
     """Max number of other terms a term fails to commute with.
 
     Pairs with disjoint supports commute exactly; overlapping pairs are
-    embedded into their joint support and the commutator norm compared to
-    COMMUTATOR_TOL.  `support_only` switches to the cheap overlap count.
+    embedded densely into their joint support and the 2-norm of the
+    commutator compared to COMMUTATOR_TOL.  `support_only` switches to the
+    cheap overlap count.
     """
     if support_only:
         return support_overlap_degree(phi)
@@ -248,9 +256,9 @@ def commutation_degree(phi: Interaction, support_only: bool = False) -> int:
             n = len(joint)
             pos_i = tuple(joint.index(v) for v in terms[i].support)
             pos_j = tuple(joint.index(v) for v in terms[j].support)
-            a = embed_sum([(terms[i].matrix, pos_i)], n, phi.d)
-            b = embed_sum([(terms[j].matrix, pos_j)], n, phi.d)
-            comm = (a @ b - b @ a).toarray()
+            a = _dense_on(terms[i].matrix, pos_i, n, phi.d)
+            b = _dense_on(terms[j].matrix, pos_j, n, phi.d)
+            comm = a @ b - b @ a
             if np.linalg.norm(comm, 2) > COMMUTATOR_TOL:
                 noncommuting[i] += 1
                 noncommuting[j] += 1

@@ -9,6 +9,7 @@ residual instead.  Hard caps guard against materializing huge spaces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +22,10 @@ from ._tensor import (
     MATERIALIZE_CAP,
     FactoredProjectorBlock,
     SiteBlockOperator,
+    diagonal_sum,
     embed_sum,
     matfree_norm,
+    zero_off_diagonal,
 )
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from .interaction import PSD_TOL, Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
@@ -43,28 +46,41 @@ GAP_CHECK_STEPS = 8
 SANDWICH_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GlobalOperator:
     """Hermitian operator on the d^len(region) space of a region.
 
-    terms lists the (block, positions) pairs whose embedded sum is matrix,
-    as hamiltonian() builds them; an operator given by its matrix alone
-    (terms None) is one term on its whole region.  Frozen: the sparse solve
-    reads the terms, so the matrix must not drift from them.
+    Given by its terms, the (block, positions) pairs that hamiltonian() and
+    embed() build, or by its matrix alone (terms None), which is one term on
+    its whole region; not by both.  The matrix of an operator given by its
+    terms is the canonical CSR of their embedded sum (embed_sum), built on
+    first read: the region solve reads the terms, and a diagonal H is solved
+    from them and never assembled.  Frozen, so the matrix cannot drift from
+    the terms.
     """
 
     region: Region
     d: int
-    matrix: object  # ndarray or scipy sparse
-    terms: list | None = None
+    terms: list | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "region", make_region(self.region))
-        dim = self.d ** len(self.region)
-        if self.matrix.shape != (dim, dim):
+    def __init__(self, region, d: int, matrix=None, terms: list | None = None):
+        object.__setattr__(self, "region", make_region(region))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "terms", terms)
+        if (matrix is None) == (terms is None):
+            raise ValueError("an operator is given by exactly one of its matrix and its terms")
+        if matrix is None:
+            return
+        if matrix.shape != (self.dim, self.dim):
             raise RegionError(
-                f"operator dimension {self.matrix.shape} != d^|region| = {dim}"
+                f"operator dimension {matrix.shape} != d^|region| = {self.dim}"
             )
+        object.__setattr__(self, "matrix", matrix)
+
+    @functools.cached_property
+    def matrix(self):
+        """ndarray or scipy sparse; for terms, their CSR, built on first read."""
+        return embed_sum(self.terms, len(self.region), self.d)
 
     @property
     def dim(self) -> int:
@@ -84,8 +100,7 @@ def _positions(support: Region, region: Region) -> tuple[int, ...]:
 def embed(term: InteractionTerm, region: Region, d: int) -> GlobalOperator:
     """Kronecker embedding of a term into a region: term on its factors, id elsewhere."""
     region = make_region(region)
-    blocks = [(term.matrix, _positions(term.support, region))]
-    return GlobalOperator(region, d, embed_sum(blocks, len(region), d), blocks)
+    return GlobalOperator(region, d, terms=[(term.matrix, _positions(term.support, region))])
 
 
 def check_dimension(d: int, region, cap: int = SPARSE_CAP) -> int:
@@ -104,7 +119,11 @@ def hamiltonian(
     projector_form: bool = False,
     cap: int = SPARSE_CAP,
 ) -> GlobalOperator:
-    """Sum of all terms supported inside the region (reduced to projectors on request)."""
+    """Sum of all terms supported inside the region (reduced to projectors on request).
+
+    The operator keeps the terms; its CSR matrix is assembled only when read
+    (see GlobalOperator), which the solve of a diagonal H never does.
+    """
     region = make_region(region)
     if not region:
         raise RegionError("empty region")
@@ -117,7 +136,7 @@ def hamiltonian(
                 Interaction(contained, R=phi.R, d=phi.d)
             )
     blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms_within(region)]
-    return GlobalOperator(region, phi.d, embed_sum(blocks, len(region), phi.d), blocks)
+    return GlobalOperator(region, phi.d, terms=blocks)
 
 
 @dataclass
@@ -153,8 +172,10 @@ class SpectralData:
 def spectral_data(H: GlobalOperator, with_basis: bool = False) -> SpectralData:
     """Kernel and gap of H: the region solve every other entry point reads.
 
-    The solver follows from H alone: the diagonal shortcut when H has no
-    off-diagonal entries; a dense solve when dim <= DENSE_CAP or H carries
+    The solver follows from H alone: the diagonal shortcut when every term
+    block is diagonal, read from the sum of the terms' diagonals without
+    assembling H (or, for H given by its matrix, when the matrix has no
+    off-diagonal entries); a dense solve when dim <= DENSE_CAP or H carries
     no terms (eigenvectors only with with_basis); otherwise the kernel grown
     from the terms (_grown_kernel) and the gap by Lanczos on H deflated
     against it (_gap_lanczos).  A grown kernel wider than MAX_KERNEL goes to
@@ -183,8 +204,21 @@ def _from_levels(w, tol: float, solver: str, basis=None) -> SpectralData:
     """SpectralData from levels, in any order, that include every kernel level."""
     if w.size and w.min() < -tol:
         raise _not_psd(f"lowest level {w.min():.6g}")
-    above = w[w > tol]
-    return SpectralData(w.size - above.size, float(above.min()) if above.size else None, solver, basis)
+    above = w > tol
+    excited = np.count_nonzero(above)
+    gap = float(w.min(where=above, initial=np.inf)) if excited else None
+    return SpectralData(w.size - excited, gap, solver, basis)
+
+
+def _diagonal_solve(diag) -> SpectralData:
+    """The levels are the diagonal; the kernel basis is one-hot (sparse)."""
+    diag = np.real(diag)
+    tol = _kernel_tol(max(float(diag.max()), -float(diag.min())))
+    idx = np.flatnonzero(diag <= tol)
+    V = sp.csc_matrix(
+        (np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(diag.size, idx.size)
+    )
+    return _from_levels(diag, tol, "diagonal", V)
 
 
 def _dense_solve(mat, with_basis: bool) -> SpectralData:
@@ -216,17 +250,18 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
     # solve passes through exactly one public entry point.  DENSE_CAP is read
     # at call time, so that tests can move the crossover by patching it
-    norms = None if H.terms is None else _term_norms(H.terms)
-    mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
     dim = H.dim
-    coo = mat.tocoo()
-    if not np.any(coo.data[coo.row != coo.col]):
-        diag = np.real(mat.diagonal())
-        tol = _kernel_tol(float(np.abs(diag).max()))
-        idx = np.flatnonzero(diag <= tol)
-        V = sp.csc_matrix((np.ones(idx.size), (idx, np.arange(idx.size))), shape=(dim, idx.size))
-        return _from_levels(diag, tol, "diagonal", V)
-    if dim <= DENSE_CAP or norms is None:
+    if H.terms is None:
+        mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
+        coo = mat.tocoo()
+        if not np.any(coo.data[coo.row != coo.col]):
+            return _diagonal_solve(mat.diagonal())
+        return _dense_solve(mat, with_basis)
+    norms = _term_norms(H.terms)
+    if all(zero_off_diagonal(block) for block, _ in H.terms):
+        return _diagonal_solve(diagonal_sum(H.terms, len(H.region), H.d).reshape(-1))
+    mat = H.matrix
+    if dim <= DENSE_CAP:
         return _dense_solve(mat, with_basis)
     tol = _kernel_tol(float(sum(norms)))
     V = _grown_kernel(H, mat, tol)
@@ -266,7 +301,13 @@ def _grown_kernel(H: GlobalOperator, mat, tol: float):
     V = np.eye(d, dtype=dtype, order="F")
     for k in range(n):
         if k:
-            V = np.kron(V.T, np.eye(d)).T
+            # V (x) 1_d: d strided copies of V into a zeroed (r, d, rows, d)
+            # array, whose C-ordered (r d, rows d) reshape is the transpose
+            r, rows = V.shape[1], V.shape[0]
+            W = np.zeros((r, d, rows, d), dtype=dtype)
+            for a in range(d):
+                W[:, a, :, a] = V.T
+            V = W.reshape(r * d, rows * d).T
         if arriving[k] and V.shape[1]:
             G = sum(_local_gram(gemm, V, h, positions, k + 1, d) for h, positions in arriving[k])
             w, u = sla.eigh(G, overwrite_a=True)

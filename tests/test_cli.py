@@ -144,6 +144,28 @@ class TestDLCheckCommand:
         assert payload["overlap_0"]["rhs"] == pytest.approx(3 * payload["refined_bound"], rel=1e-12)
 
 
+    def test_toy_at_the_dl_cap_allocates_one_full_length_vector(self, tmp_path, capsys):
+        # 2^20 = DL_DIM_CAP: the H diagonal (8 MiB) is the one vector of that
+        # length; an assembled H and full-length norm vectors took 49 MiB
+        import json
+        import tracemalloc
+
+        js = tmp_path / "toy20.json"
+        tracemalloc.start()
+        try:
+            code = run(
+                ["dl-check", "--model", "commuting_toy", "--length", "20", "--t", "4",
+                 "--out-json", str(js)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = json.loads(js.read_text())
+        assert all(c["ok"] for c in payload["checks"])
+        assert payload["dl_perp"] == 0.0
+        assert peak < 24 * 2 ** 20
+
     @pytest.mark.parametrize(
         "model, n", [("heisenberg_fm", 5), ("heisenberg_fm", 4), ("commuting_toy", 5)]
     )

@@ -103,6 +103,24 @@ class TestHamiltonian:
         with pytest.raises(dataclasses.FrozenInstanceError):
             H.terms = None
 
+    def test_diagonal_hamiltonian_is_solved_unassembled(self):
+        phi = commuting_toy(chain_graph(12))
+        H = hamiltonian(phi, tuple(range(12)))
+        sd = spectral_data(H, with_basis=True)
+        assert sd.solver == "diagonal"
+        assert "matrix" not in vars(H)  # the CSR is built on first read only
+        diag = H.matrix.diagonal()
+        assert H.matrix.format == "csr" and H.matrix.has_canonical_format
+        assert sd.kernel_dim == np.count_nonzero(diag == 0)
+        assert np.array_equal(sd.basis.nonzero()[0], np.flatnonzero(diag == 0))
+
+    def test_operator_takes_its_matrix_or_its_terms(self):
+        H = hamiltonian(heisenberg_fm(chain_graph(3)), (0, 1, 2))
+        with pytest.raises(ValueError, match="exactly one of its matrix and its terms"):
+            GlobalOperator(H.region, H.d, H.matrix, H.terms)
+        with pytest.raises(ValueError, match="exactly one of its matrix and its terms"):
+            GlobalOperator(H.region, H.d)
+
     def test_four_site_kernel_dimension(self):
         phi = heisenberg_fm(chain_graph(4))
         sd = spectral_data(hamiltonian(phi, (0, 1, 2, 3), projector_form=True))

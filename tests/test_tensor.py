@@ -6,7 +6,8 @@ matvec/rmatvec; these tests compare both against the materialized matrix,
 and matfree_norm against the dense spectral norm on both sides of its
 small-dimension branch (dimension 32).  Diagonal leaves (diagonal blocks,
 bases with one stored entry per column) and chains of them are checked for
-their diagonal flag and for the exact one-apply norm.
+their diagonal flag and for the exact norm read slab by slab from their
+diagonal, with no apply.
 """
 
 from functools import lru_cache
@@ -18,6 +19,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapcert._tensor as tensor
 from gapcert._tensor import (
     Difference,
     FactoredProjectorBlock,
@@ -312,7 +314,7 @@ def _dyadic_diagonal_chain(n=8, d=2):
 
 
 class TestDiagonalNorm:
-    def test_toy_dl_norms_from_one_apply(self, monkeypatch):
+    def test_toy_dl_norms_without_applies(self, monkeypatch):
         g = chain_graph(10)
         toy = commuting_toy(g)
         decomp = column_decomposition(toy, g, tuple(range(10)), 4)
@@ -329,7 +331,7 @@ class TestDiagonalNorm:
             assert op.diagonal
             counts = _count_applies(op)
             value = matfree_norm(op)
-            assert counts == {"matvec": 1, "rmatvec": 0}
+            assert counts == {"matvec": 0, "rmatvec": 0}
             if hasattr(op, "to_dense"):
                 assert value == float(np.linalg.norm(op.to_dense(), 2))
         assert matfree_norm(dl) == 1.0
@@ -340,11 +342,44 @@ class TestDiagonalNorm:
         assert chain.diagonal
         counts = _count_applies(chain)
         value = matfree_norm(chain)
-        assert counts == {"matvec": 1, "rmatvec": 0}
+        assert counts == {"matvec": 0, "rmatvec": 0}
         dense = chain.to_dense()
         assert _off_diagonal_nonzeros(dense) == 0
         assert value > 0.0
         assert value == float(np.linalg.norm(dense, 2))
+
+    @pytest.mark.parametrize("d,n", [(2, 14), (3, 9), (6, 5)])
+    def test_slabs_match_the_full_diagonal(self, d, n, monkeypatch):
+        # several slabs (d = 6: 3888 rows, half of a 6^5 block); the one-hot
+        # complement's rows straddle every slab boundary
+        dim = d ** n
+        size = next(s for s in range(tensor.MATERIALIZE_CAP, 0, -1) if dim % s == 0)
+        assert dim // size >= 2
+        rng = np.random.default_rng(3)
+        edges = np.arange(size, dim, size)
+        rows = np.unique(np.concatenate([edges - 1, edges, rng.choice(dim, 30, replace=False)]))
+        values = rng.choice([1.0, -1.0, 1j], rows.size)
+        V = sp.csc_matrix((values, (rows, np.arange(rows.size))), shape=(dim, rows.size))
+
+        def dyadic(size):
+            return rng.integers(1, 9, size) / 8 * rng.choice([1.0, -1.0, 1j], size)
+
+        chain = OperatorChain(
+            [
+                SiteBlockOperator(np.diag(dyadic(d ** 2)), (0, n - 1), n, d),
+                ProjectorFromBasis(V, dim, complement=True),
+                SiteBlockOperator(np.diag(dyadic(d ** 3)), (1, 2, 3), n, d),
+                SiteBlockOperator(np.diag(dyadic(d)), (n - 2,), n, d),
+            ],
+            dim,
+        )
+        full = chain.matvec(np.ones(dim))
+        slabs = [chain.diagonal_slab(lo, lo + size) for lo in range(0, dim, size)]
+        assert np.array_equal(np.concatenate(slabs), full)
+        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        counts = _count_applies(chain)
+        assert matfree_norm(chain) == float(np.abs(full).max())
+        assert counts == {"matvec": 0, "rmatvec": 0}
 
     def test_tiny_off_diagonal_entry_takes_lanczos(self, monkeypatch):
         block = np.diag([1.0, 0.5, 0.25, 2.0])
