@@ -4,7 +4,7 @@ Exit codes (also shown in --help):
     0  success
     2  usage error (bad flags)
     3  invalid configuration or input file
-    4  region too large for the configured caps
+    4  region too large for the configured caps or for the memory
     5  eigensolver failure
     6  a verification check failed
     7  certification not possible with the given data
@@ -502,6 +502,10 @@ def main(argv=None) -> int:
             kind = "config"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[kind]
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: region too large: out of memory{detail}", file=sys.stderr)
+        return EXIT_CODES["too_large"]
 
 
 if __name__ == "__main__":

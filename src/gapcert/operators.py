@@ -2,9 +2,10 @@
 projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
-grown site by site from the terms and the gap found by Lanczos on H deflated
-against it, without reorthogonalisation: its Ritz pair is checked by its
-residual instead.  Hard caps guard against materializing huge spaces.
+grown site by site from the terms and the gap found by one Lanczos run on H
+deflated against it, with no restart and no reorthogonalisation: its Ritz
+pair is checked by its residual instead, and the Krylov basis holds only the
+steps taken.  Hard caps guard against materializing huge spaces.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
-# the gap Lanczos: Krylov vectors per run, the runs and the restarts in a row
-# without a lower residual before it gives up, and the steps between Ritz reads
-GAP_LANCZOS_VECTORS = 300
-GAP_MAX_RESTARTS = 100
-GAP_STALLED_RESTARTS = 3
+# the gap Lanczos: the steps before it gives up, and the steps between Ritz
+# reads, which are also the columns of each block of Krylov vectors
+GAP_MAX_STEPS = 1000
 GAP_CHECK_STEPS = 8
 SANDWICH_TOL = 1e-9
 
@@ -274,7 +273,7 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     # the terms are PSD (_term_norms) and sum to mat, so H is PSD and its
     # lowest level on ran(V)^perp is the gap
     v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
-    gap, _, _ = _gap_lanczos(mat, V, v0, tol)
+    gap, _ = _gap_lanczos(mat, V, v0, tol)
     if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
     return SpectralData(V.shape[1], float(gap), "sparse", V)
@@ -334,78 +333,67 @@ def _local_gram(gemm, V, h, positions, n: int, d: int):
 
 
 def _gap_lanczos(mat, V, v0, tol: float):
-    """Lowest excited Ritz pair (theta, x, H x) of H by Lanczos on ran(V)^perp.
+    """Lowest excited Ritz value of H by one Lanczos run on ran(V)^perp, with
+    its residual: (theta, ||H x - theta x||).
 
     A step is the three-term recurrence and the deflation against V, without
     which the kernel leaks back in; no Gram-Schmidt against the Krylov basis,
-    whose lost orthogonality only duplicates converged Ritz values (Paige).
-    The pair is checked, not trusted: every GAP_CHECK_STEPS steps, once the
-    Ritz estimate beta |s_last| is at most tol / 2, x = Q s is formed,
-    re-deflated and normalised, and theta is its Rayleigh quotient; the loop
-    stops when ||H x - theta x|| <= tol, so by Weyl H has a level within tol
-    of theta.  A full basis restarts from x.  A vanishing beta (an invariant
-    Krylov space), GAP_STALLED_RESTARTS restarts in a row without a lower
-    checked residual, or GAP_MAX_RESTARTS runs, all without a passing check,
-    raise EigensolverError.
+    whose lost orthogonality only duplicates converged Ritz values (Paige;
+    Cullum and Willoughby).  The Krylov vectors live in Fortran blocks of
+    GAP_CHECK_STEPS columns, each allocated when the run reaches it.  The
+    pair is checked, not trusted: at the end of each block, once the Ritz
+    estimate beta |s_last| is at most tol / 2, x = Q s is formed (one gemv
+    per block), re-deflated and normalised, and theta is its Rayleigh
+    quotient; the run stops when ||H x - theta x|| <= tol, so by Weyl H has
+    a level within tol of theta.  A vanishing beta (an invariant Krylov
+    space) or GAP_MAX_STEPS steps, without a passing check, raise
+    EigensolverError.
     """
     Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
-    dim = mat.shape[0]
-    m = min(GAP_LANCZOS_VECTORS, dim - Vf.shape[1])
+    dim, cols = mat.shape[0], GAP_CHECK_STEPS
     dtype = np.result_type(mat.dtype, Vf.dtype)
-    try:
-        Q = np.empty((dim, m), dtype=dtype, order="F")
-    except MemoryError:
-        raise DimensionCapError(
-            f"region too large for the gap Lanczos: dim {dim} with {m} Krylov vectors "
-            f"({dim * m * dtype.itemsize / 1e9:.3g} GB)"
-        ) from None
-    gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), (Q,))
-    alpha, beta = np.empty(m), np.empty(m)
+    gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), dtype=dtype)
+    alpha, beta = np.empty(GAP_MAX_STEPS), np.empty(GAP_MAX_STEPS)
+    blocks = []
 
     def deflate(x):  # x - V V^H x, on scipy's BLAS as every product here
         return x - gemv(1.0, Vf, gemv(1.0, Vf, x, trans=2)) if Vf.shape[1] else x
 
-    q = deflate(v0)
-    best, stalled = math.inf, 0
-    for restarts in range(GAP_MAX_RESTARTS):
-        Q[:, 0] = q / nrm2(q)
-        best_before = best
-        for j in range(m):
-            w = mat @ Q[:, j]
-            alpha[j] = dotc(Q[:, j], w).real
-            w -= alpha[j] * Q[:, j]
-            if j:
-                w -= beta[j - 1] * Q[:, j - 1]
-            w = deflate(w)
-            beta[j] = nrm2(w)
-            invariant = beta[j] <= np.finfo(float).eps * np.abs(alpha[: j + 1]).max()
-            last = invariant or j + 1 == m
-            if last or (j + 1) % GAP_CHECK_STEPS == 0:
-                _, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
-                if last or beta[j] * abs(s[-1, 0]) <= tol / 2:
-                    x = deflate(gemv(1.0, Q[:, : j + 1], s[:, 0]))
-                    x /= nrm2(x)
-                    Hx = mat @ x
-                    theta = dotc(x, Hx).real
-                    resid = nrm2(Hx - theta * x)
-                    if resid <= tol:
-                        return theta, x, Hx
-                    best = min(best, resid)
-            if invariant:
-                raise EigensolverError(
-                    f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
-                    f"above {tol:.3e} in an invariant Krylov space"
-                )
-            if j + 1 < m:
-                Q[:, j + 1] = w / beta[j]
-        stalled = stalled + 1 if best >= best_before else 0
-        if stalled == GAP_STALLED_RESTARTS:
-            break
-        q = x
-    raise EigensolverError(
-        f"eigensolver failed on the gap: Ritz residual {best:.3e} above {tol:.3e} "
-        f"after {restarts} restarts, the last {stalled} without a lower one"
-    )
+    w = deflate(v0)
+    for j in range(GAP_MAX_STEPS):
+        if j % cols == 0:
+            blocks.append(np.empty((dim, cols), dtype=dtype, order="F"))
+        q = np.divide(w, beta[j - 1] if j else nrm2(w), out=blocks[-1][:, j % cols])
+        w = mat @ q
+        alpha[j] = dotc(q, w).real
+        w -= alpha[j] * q
+        if j:
+            w -= beta[j - 1] * q_prev
+        w = deflate(w)
+        beta[j] = nrm2(w)
+        q_prev = q
+        invariant = beta[j] <= np.finfo(float).eps * np.abs(alpha[: j + 1]).max()
+        last = invariant or j + 1 == GAP_MAX_STEPS
+        if last or (j + 1) % cols == 0:
+            _, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
+            if last or beta[j] * abs(s[-1, 0]) <= tol / 2:
+                x = np.zeros(dim, dtype=dtype)
+                for b, Q in enumerate(blocks):
+                    k = min(cols, j + 1 - b * cols)
+                    x = gemv(1.0, Q[:, :k], s[b * cols : b * cols + k, 0], 1.0, x, overwrite_y=True)
+                x = deflate(x)
+                x /= nrm2(x)
+                Hx = mat @ x
+                theta = dotc(x, Hx).real
+                resid = nrm2(Hx - theta * x)
+                if resid <= tol:
+                    return theta, resid
+        if last:
+            space = ", in an invariant Krylov space" if invariant else ""
+            raise EigensolverError(
+                f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
+                f"above {tol:.3e} after {j + 1} Lanczos steps{space}"
+            )
 
 
 def kernel_basis(H: GlobalOperator):

@@ -41,19 +41,28 @@ class TestGapCommand:
         assert code == EXIT_CODES["config"]
 
     def test_krylov_basis_out_of_memory_is_too_large(self, capsys, monkeypatch):
+        from gapcert import operators
+
         real = np.empty
 
         def no_memory(shape, *args, **kwargs):
-            if kwargs.get("order") == "F" and len(shape) == 2 and shape[1] == 300:
-                raise MemoryError  # the gap Lanczos basis, and nothing else
+            if kwargs.get("order") == "F" and shape == (2048, operators.GAP_CHECK_STEPS):
+                raise MemoryError  # a block of the gap Lanczos basis, and nothing else
             return real(shape, *args, **kwargs)
 
-        monkeypatch.setattr(np, "empty", no_memory)
-        code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse
+        def grown_kernel_out_of_memory(*args):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        argv = ["gap", "--model", "heisenberg_fm", "--length", "11"]  # dim 2048: sparse
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "empty", no_memory)
+            assert run(argv) == EXIT_CODES["too_large"]
         err = capsys.readouterr().err
-        assert code == EXIT_CODES["too_large"]
-        assert "dim 2048 with 300 Krylov vectors (0.00492 GB)" in err
-        assert "Traceback" not in err
+        assert err == "error: region too large: out of memory\n"
+        monkeypatch.setattr(operators, "_grown_kernel", grown_kernel_out_of_memory)
+        assert run(argv) == EXIT_CODES["too_large"]
+        err = capsys.readouterr().err
+        assert err == "error: region too large: out of memory: Unable to allocate 2.00 GiB for an array\n"
 
     def test_gap_non_convergence_is_solver_exit(self, capsys, perturbed_gap_ritz_vector):
         code = run(["gap", "--model", "heisenberg_fm", "--length", "11"])  # dim 2048: sparse

@@ -425,9 +425,8 @@ class TestSolverFailures:
             matfree_norm(op)
 
     def test_sparse_gap_raises(self, monkeypatch):
-        # two Lanczos vectors and no restart cannot reach the residual check
-        monkeypatch.setattr(operators, "GAP_LANCZOS_VECTORS", 2)
-        monkeypatch.setattr(operators, "GAP_MAX_RESTARTS", 1)
+        # two Lanczos steps cannot reach the residual check
+        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 2)
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="on the gap"):
@@ -463,7 +462,7 @@ SPARSE_REGIONS = {  # name -> (interaction, chain length, projector form, gap ma
     "fm13": (lambda: heisenberg_fm(chain_graph(13)), 13, False, 130),
     "fm13-projector-form": (lambda: heisenberg_fm(chain_graph(13)), 13, True, 130),
     "aklt8": (lambda: aklt_chain(8), 8, False, 130),
-    # a single run of GAP_LANCZOS_VECTORS, no restart
+    # 257-265 products over the start seeds
     "random10": (lambda: _segment_chain([10], complex_terms=True), 10, False, 300),
 }
 
@@ -489,24 +488,35 @@ class TestSparseGapSolve:
             assert gaps[0] == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["fm11", "aklt8"])
-    def test_restarts_keep_the_gap(self, name, gap_matvecs, monkeypatch):
+    def test_step_cap_keeps_the_gap(self, name, gap_matvecs, monkeypatch):
         model, n, _, _ = SPARSE_REGIONS[name]
         H = hamiltonian(model(), tuple(range(n)))
         gap = spectral_data(H).gap
-        monkeypatch.setattr(operators, "GAP_LANCZOS_VECTORS", 20)
+        if name.startswith("fm"):
+            assert gap == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-12)
+        # a cap at the products of the default run, which are at least its
+        # steps, leaves the run and its gap as they were
+        monkeypatch.setattr(operators, "GAP_MAX_STEPS", gap_matvecs["gap"])
+        assert spectral_data(H).gap == gap
+        # a tiny cap stops the run there, with one product per formed Ritz vector
+        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 16)
         gap_matvecs["gap"] = 0
-        assert spectral_data(H).gap == pytest.approx(gap, rel=1e-12)
-        # one run makes at most 20 products plus one per formed Ritz vector
-        assert gap_matvecs["gap"] > 2 * 20  # it did restart
+        with pytest.raises(EigensolverError, match="above .* after 16 Lanczos steps$"):
+            spectral_data(H)
+        assert gap_matvecs["gap"] <= 16 + 2
 
     def test_clustered_gap_matches_dense_oracle(self, gap_matvecs):
         # Haar-random rank-1 complex projectors on a qubit chain n = 10, drawn
         # from default_rng([5, 1]): gap 0.00665 with the next level at 0.00686,
-        # so the loop restarts and the Krylov basis loses the most orthogonality
+        # so the run is long and the Krylov basis loses the most orthogonality
         phi = _segment_chain([10], complex_terms=True, seed=[5, 1])
         sd = spectral_data(hamiltonian(phi, tuple(range(10))))
         assert (sd.kernel_dim, sd.solver) == (11, "sparse")
-        assert gap_matvecs["gap"] > operators.GAP_LANCZOS_VECTORS  # it did restart
+        # one run of more than 300 steps: at most one product in every
+        # GAP_CHECK_STEPS + 1 forms a Ritz vector (903 products with restarts)
+        products = gap_matvecs["gap"]
+        assert (products - 1) * operators.GAP_CHECK_STEPS > 300 * (operators.GAP_CHECK_STEPS + 1)
+        assert products <= 420
         Hd = dense_bond_hamiltonian(10, [(t.support[0], t.matrix) for t in phi.terms])
         assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-10)
 
@@ -516,26 +526,33 @@ class TestSparseGapSolve:
         with pytest.raises(EigensolverError, match="Ritz residual"):
             spectral_data(H)
 
-    def test_stalled_residual_stops_early(
+    def test_failed_residual_check_stops_at_the_cap(
         self, perturbed_gap_ritz_vector, gap_matvecs, monkeypatch
     ):
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
-        # no Ritz vector passes the check, so the residual stops falling
+        # no Ritz vector passes the check; the run goes on past dim 256 - 9
+        # (no reorthogonalisation) and stops at GAP_MAX_STEPS
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
-        with pytest.raises(EigensolverError, match=r"after [1-4] restarts, the last 3 without"):
+        m = operators.GAP_MAX_STEPS
+        with pytest.raises(EigensolverError, match=f"above .* after {m} Lanczos steps$"):
             spectral_data(H)
-        # at most 4 restarts: 5 runs of m = 256 - 9 steps, each with a
-        # Ritz vector formed at most every GAP_CHECK_STEPS steps
-        m = 256 - 9
-        assert gap_matvecs["gap"] <= 5 * (m + m // operators.GAP_CHECK_STEPS + 1)
+        # a Ritz vector formed at most every GAP_CHECK_STEPS steps, and at the cap
+        assert gap_matvecs["gap"] <= m + m // operators.GAP_CHECK_STEPS + 1
 
-    def test_gap_is_read_from_h(self, monkeypatch):
+    def test_gap_is_read_from_h(self, gap_matvecs, monkeypatch):
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
         # singlet projectors on bonds 0, 2, 4, 6: kernel 3^4 * 2^2, gap 1
         phi = _segment_chain([2, 2, 2, 2, 1, 1])
         sd = spectral_data(hamiltonian(phi, tuple(range(10))))
         assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
         assert abs(sd.gap - 1.0) <= 1e-14
+        # H has the levels 1..4 off its kernel, so the run ends in the first block
+        assert gap_matvecs["gap"] <= operators.GAP_CHECK_STEPS + 1
+        # four steps span the levels: a cap at 5 forms x from a partial block
+        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 5)
+        gap_matvecs["gap"] = 0
+        assert abs(spectral_data(hamiltonian(phi, tuple(range(10)))).gap - 1.0) <= 1e-14
+        assert gap_matvecs["gap"] == 5 + 1
 
     def test_grown_kernel_makes_no_block_solves(self, monkeypatch):
         factored = []
