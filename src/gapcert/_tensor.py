@@ -7,18 +7,21 @@ view of the vector.  A matrix leaf on one contiguous run of factors
 p..p+m-1 applies on the (d^p, d^m, d^rest) reshape view, with no transpose
 or copy; on other positions it moves its factors to the front and back.
 Every diagonal operator also gives its diagonal by slabs of rows
-(diagonal_slab), from which matfree_norm reads its norm with no apply.
+(diagonal_slab), from which matfree_norm reads its norm with no apply; any
+other norm is one lanczos run, the gap's too, stopped at the rounding level
+of the operator's bound, an upper bound on its norm that each class carries.
 Everything here is dtype-preserving: real inputs stay real.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla  # after scipy.sparse: the other order imports gapcert ~40 ms slower
 
 from .errors import DimensionCapError, EigensolverError
 
@@ -26,6 +29,10 @@ from .errors import DimensionCapError, EigensolverError
 # start vector of the Lanczos norm; it steers convergence, not the converged value
 DEFAULT_NORM_SEED = 7
 NORM_TOL = 1e-10
+# a Lanczos run (gap and norms): the steps before it gives up, and the steps
+# between Ritz reads, which are also the columns of each block of Krylov vectors
+LANCZOS_MAX_STEPS = 1000
+LANCZOS_CHECK_STEPS = 8
 # largest product-space dimension that OperatorChain.to_dense materializes;
 # also the most entries of one fused diagonal run in OperatorChain's apply
 # plan, and of one slab of a diagonal norm (matfree_norm)
@@ -250,6 +257,7 @@ class SiteBlockOperator(_SiteLeaf):
         diagonal = zero_off_diagonal(self.block)
         self._place(np.diagonal(self.block).copy() if diagonal else None)
         self._mats, self._rmats = (self.block,), (self.block.conj().T,)
+        self.bound = float(np.linalg.norm(self.block, 2))  # the norm itself
 
     def to_sparse(self) -> sp.csr_matrix:
         return embed_sum([(self.block, self.positions)], self.n, self.d)
@@ -272,6 +280,7 @@ class FactoredProjectorBlock(_SiteLeaf):
     positions: tuple[int, ...]
     n: int
     d: int
+    bound = 1.0  # a projector
 
     def __post_init__(self):
         if self.basis.shape[0] != self.d ** len(self.positions):
@@ -307,6 +316,7 @@ class _DiagonalRun(_SiteLeaf):
             diag = diag * _placed(f._diag, [p - lo for p in f.positions], span, self.d)
         self.positions = tuple(range(lo, lo + span))
         self._place(diag.reshape(-1))
+        self.bound = float(np.abs(diag).max(initial=0.0))
 
 
 def _fusable(f) -> bool:
@@ -347,6 +357,8 @@ class OperatorChain:
         self.factors = list(factors)
         self.dim = dim
         self._plan = _apply_plan(self.factors)
+        bounds = [getattr(f, "bound", None) for f in self._plan]  # None: no bound
+        self.bound = None if None in bounds else math.prod(bounds)
 
     @property
     def shape(self):
@@ -396,6 +408,8 @@ class Difference:
     def __init__(self, a, b):
         self.a = a
         self.b = b
+        bounds = getattr(a, "bound", None), getattr(b, "bound", None)
+        self.bound = None if None in bounds else sum(bounds)
 
     @property
     def shape(self):
@@ -417,6 +431,8 @@ class Difference:
 
 class ProjectorFromBasis:
     """Orthogonal projector V V^dag given an orthonormal (possibly sparse) basis V."""
+
+    bound = 1.0  # a projector, or its complement
 
     def __init__(self, basis, dim: int, complement: bool = False):
         self.basis = basis
@@ -458,21 +474,77 @@ class ProjectorFromBasis:
         return np.eye(self.dim) - P if self.complement else P
 
 
+def lanczos(apply, v0, tol, bound=None, deflate=lambda x: x, highest=False, subject="a level"):
+    """The lowest (highest, with highest) level of a Hermitian A by one
+    Lanczos run from v0, and its residual: (theta, ||A x - theta x||).
+
+    apply(x) is A x, and deflate projects onto the space the run stays in.
+    A step is the three-term recurrence and the deflation, with no
+    Gram-Schmidt against the Krylov basis, whose lost orthogonality only
+    duplicates converged Ritz values (Paige; Cullum and Willoughby).  The
+    Krylov vectors live in Fortran blocks of LANCZOS_CHECK_STEPS columns,
+    each allocated when the run reaches it.  At the end of each block, once
+    the Ritz estimate beta |s_last| is at most tol(ritz) / 2, x = Q s is
+    formed, deflated and normalised; theta is its Rayleigh quotient, and the
+    run stops when ||A x - theta x|| <= tol(theta): by Weyl, A has a level
+    that close to theta.  beta <= sqrt(dim) eps bound, with bound >= ||A||
+    (the running max |alpha| when None), is an invariant Krylov space;
+    there, or after LANCZOS_MAX_STEPS steps, a failed check raises.
+    """
+    dim, cols = v0.size, LANCZOS_CHECK_STEPS
+    alpha, beta, blocks = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS), []
+    w = deflate(v0)
+    q = w / sla.get_blas_funcs("nrm2", (w,))(w)
+    for j in range(LANCZOS_MAX_STEPS):
+        w = apply(q)
+        if j == 0:  # the run takes the dtype of A's image
+            gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), (q, w))
+        if j % cols == 0:
+            blocks.append(np.empty((dim, cols), dtype=gemv.dtype, order="F"))
+        blocks[-1][:, j % cols] = q
+        alpha[j] = dotc(q, w).real
+        w = deflate(w - alpha[j] * q - (beta[j - 1] * q_prev if j else 0.0))
+        beta[j], q_prev = nrm2(w), q
+        size = np.abs(alpha[: j + 1]).max() if bound is None else bound
+        invariant = beta[j] <= math.sqrt(dim) * np.finfo(float).eps * size
+        last = invariant or j + 1 == LANCZOS_MAX_STEPS
+        if last or (j + 1) % cols == 0:
+            k = j if highest else 0
+            ritz, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(k, k))
+            if last or beta[j] * abs(s[-1, 0]) <= tol(ritz[0]) / 2:
+                x = np.zeros(dim, dtype=gemv.dtype)
+                for b, Q in enumerate(blocks):
+                    m = min(cols, j + 1 - b * cols)
+                    x = gemv(1.0, Q[:, :m], s[b * cols : b * cols + m, 0], 1.0, x, overwrite_y=True)
+                x = deflate(x)
+                x /= nrm2(x)
+                Ax = apply(x)
+                theta = dotc(x, Ax).real
+                resid = nrm2(Ax - theta * x)
+                if resid <= tol(theta):
+                    return theta, resid
+                if last:
+                    space = ", in an invariant Krylov space" if invariant else ""
+                    raise EigensolverError(
+                        f"eigensolver failed on {subject}: Ritz residual {resid:.3e} "
+                        f"above {tol(theta):.3e} after {j + 1} Lanczos steps{space}"
+                    )
+        q = w / beta[j]
+
+
 def matfree_norm(op) -> float:
     """Largest singular value of a matvec/rmatvec-capable operator.
 
-    A diagonal operator (its diagonal flag set) has its largest |entry| as
-    its norm, a running max over slabs of at most MATERIALIZE_CAP rows, each
-    from op.diagonal_slab: rows start..stop-1, with stop - start the largest
-    divisor of the dimension not above MATERIALIZE_CAP (for a prime d, the
-    rows whose leading digits are fixed).  No matvec, no full-length vector,
-    no Lanczos.  Otherwise, up to
-    dimension 32 the matrix is built from matvec on the identity columns and
-    its norm taken densely; above, Lanczos on the Gram operator op^dag op,
-    scaled to order one, so that a tiny norm converges like any other; only
-    the zero operator gets exactly 0.
-    Raises EigensolverError when ARPACK does not converge: the norm is used
-    as an upper bound, and no cheaper estimate is one.
+    A diagonal operator (its diagonal flag set): its largest |entry|, a
+    running max over slabs of op.diagonal_slab, each the largest divisor of
+    the dimension not above MATERIALIZE_CAP rows (for a prime d, the rows
+    whose leading digits are fixed); no apply.  Otherwise, up to dimension
+    32, the dense norm of the matrix built by matvec; above, sqrt(theta) for
+    theta the highest level of op^H op (lanczos), stopped at a residual
+    NORM_TOL theta + f (2 sqrt(theta) + f): the norm to relative NORM_TOL or
+    to within f = sqrt(n) eps op.bound, the rounding level of an apply (0
+    for an operator with no bound, such as a scipy LinearOperator).
+    EigensolverError when the run does not stop: the norm is an upper bound.
     """
     n = op.shape[1]
     if getattr(op, "diagonal", False):
@@ -482,29 +554,12 @@ def matfree_norm(op) -> float:
     if n <= 32:
         dense = np.column_stack([op.matvec(e) for e in np.eye(n)])
         return float(np.linalg.norm(dense, 2))
-    rng = np.random.default_rng(DEFAULT_NORM_SEED)
-
-    def gram(x):
-        return op.rmatvec(op.matvec(x))
-
-    v0 = rng.standard_normal(n)
-    # ARPACK's stop is relative only above eps^(2/3), which the Gram operator
-    # of a tiny operator passes at once: scale it by the size of its image of
-    # v0, which is 0 only for the zero operator
-    probe = gram(v0)
-    scale = float(np.linalg.norm(probe) / np.linalg.norm(v0))
-    if scale == 0.0:
-        return 0.0
-
-    def scaled_gram(x):
-        return gram(x) / scale
-
-    G = spla.LinearOperator((n, n), matvec=scaled_gram, rmatvec=scaled_gram, dtype=probe.dtype)
-    try:
-        vals = spla.eigsh(
-            G, k=1, which="LA", v0=v0, tol=NORM_TOL,
-            maxiter=max(2000, 20 * n), return_eigenvectors=False,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"eigensolver failed on an operator norm: {exc}") from exc
-    return float(np.sqrt(max(float(vals[-1]), 0.0) * scale))
+    B = getattr(op, "bound", None)
+    f = 0.0 if B is None else math.sqrt(n) * np.finfo(float).eps * B
+    v0 = np.random.default_rng(DEFAULT_NORM_SEED).standard_normal(n)
+    theta, _ = lanczos(
+        lambda x: op.rmatvec(op.matvec(x)), v0,
+        lambda t: NORM_TOL * max(t, 0.0) + f * (2 * math.sqrt(max(t, 0.0)) + f),
+        None if B is None else B * B, highest=True, subject="an operator norm",
+    )
+    return math.sqrt(max(theta, 0.0))

@@ -3,8 +3,9 @@ products, Chebyshev step polynomials, the polynomial smuggling identity, the
 refined contraction bound, and the two-sided overlap argument.
 
 Operators here are kept as products of small site-blocks and applied
-matrix-free; norms go through Lanczos on the Gram operator, or come exact
-from the diagonal, slab by slab, when every factor is diagonal.  Explicit
+matrix-free; norms go through one Lanczos run on the Gram operator, stopped
+at the rounding level of the operator's bound, or come exact from the
+diagonal, slab by slab, when every factor is diagonal.  Explicit
 dense matrices are only materialized for cross-checks at small dimension.
 """
 
@@ -358,6 +359,9 @@ class _GramPolynomial:
         self.shape = T.shape
         if not isinstance(F, ChebyshevStep):
             self.coeffs = np.atleast_1d(np.asarray(F, dtype=float))
+        # T is a product of projectors, so S = 1 - T^dag T has its levels in
+        # [0, 1], where |F| is at most 1 for a Chebyshev step, sum |c_i| else
+        self.bound = 1.0 if isinstance(F, ChebyshevStep) else float(np.abs(self.coeffs).sum())
 
     @property
     def diagonal(self) -> bool:

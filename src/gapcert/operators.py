@@ -3,9 +3,9 @@ projectors, operator norms, and the projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
 grown site by site from the terms and the gap found by one Lanczos run on H
-deflated against it, with no restart and no reorthogonalisation: its Ritz
-pair is checked by its residual instead, and the Krylov basis holds only the
-steps taken.  Hard caps guard against materializing huge spaces.
+deflated against it (_tensor.lanczos, as every matrix-free norm): its Ritz
+pair is checked by its residual.  Hard caps guard against materializing
+huge spaces.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ._tensor import (
     SiteBlockOperator,
     diagonal_sum,
     embed_sum,
+    lanczos,
     matfree_norm,
     zero_off_diagonal,
 )
@@ -38,10 +39,6 @@ KERNEL_REL_TOL = 1e-9
 MAX_KERNEL = 512
 # start vectors of the sparse region solve
 SOLVER_SEED = 1234
-# the gap Lanczos: the steps before it gives up, and the steps between Ritz
-# reads, which are also the columns of each block of Krylov vectors
-GAP_MAX_STEPS = 1000
-GAP_CHECK_STEPS = 8
 SANDWICH_TOL = 1e-9
 
 
@@ -177,8 +174,8 @@ def spectral_data(H: GlobalOperator, with_basis: bool = False) -> SpectralData:
     off-diagonal entries); a dense solve when dim <= DENSE_CAP or H carries
     no terms (eigenvectors only with with_basis); otherwise the kernel grown
     from the terms (_grown_kernel) and the gap by Lanczos on H deflated
-    against it (_gap_lanczos).  A grown kernel wider than MAX_KERNEL goes to
-    the dense solve when dim <= 2 * DENSE_CAP and raises EigensolverError
+    against it (_tensor.lanczos).  A grown kernel wider than MAX_KERNEL goes
+    to the dense solve when dim <= 2 * DENSE_CAP and raises EigensolverError
     otherwise.  The gap is the lowest level above the kernel tolerance (see
     SpectralData), None when H is all kernel.  A term with a level below
     -PSD_TOL * max(1, ||term||), or on the dense and diagonal paths a level
@@ -270,10 +267,16 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
         raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
     if V.shape[1] == dim:  # every level within the tolerance
         return SpectralData(dim, None, "sparse", V)
-    # the terms are PSD (_term_norms) and sum to mat, so H is PSD and its
-    # lowest level on ran(V)^perp is the gap
+    # the terms are PSD (_term_norms) and sum to mat, so H is PSD, its lowest
+    # level on ran(V)^perp is the gap, and the sum of their norms bounds ||H||
+    Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
+    gemv = sla.get_blas_funcs("gemv", dtype=np.result_type(mat.dtype, Vf.dtype))
+
+    def deflate(x):  # x - V V^H x, on scipy's BLAS as every product of the run
+        return x - gemv(1.0, Vf, gemv(1.0, Vf, x, trans=2)) if Vf.shape[1] else x
+
     v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
-    gap, _ = _gap_lanczos(mat, V, v0, tol)
+    gap, _ = lanczos(mat.dot, v0, lambda _: tol, float(sum(norms)), deflate, subject="the gap")
     if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
     return SpectralData(V.shape[1], float(gap), "sparse", V)
@@ -330,70 +333,6 @@ def _local_gram(gemm, V, h, positions, n: int, d: int):
     X = np.moveaxis(V.T.reshape((r,) + (d,) * n), axes, range(n + 1 - m, n + 1)).reshape(-1, d ** m)
     hX = gemm(1.0, h, X.T).T  # the rows h x, C-ordered
     return gemm(1.0, X.reshape(r, -1).T, hX.reshape(r, -1).T, trans_a=2)
-
-
-def _gap_lanczos(mat, V, v0, tol: float):
-    """Lowest excited Ritz value of H by one Lanczos run on ran(V)^perp, with
-    its residual: (theta, ||H x - theta x||).
-
-    A step is the three-term recurrence and the deflation against V, without
-    which the kernel leaks back in; no Gram-Schmidt against the Krylov basis,
-    whose lost orthogonality only duplicates converged Ritz values (Paige;
-    Cullum and Willoughby).  The Krylov vectors live in Fortran blocks of
-    GAP_CHECK_STEPS columns, each allocated when the run reaches it.  The
-    pair is checked, not trusted: at the end of each block, once the Ritz
-    estimate beta |s_last| is at most tol / 2, x = Q s is formed (one gemv
-    per block), re-deflated and normalised, and theta is its Rayleigh
-    quotient; the run stops when ||H x - theta x|| <= tol, so by Weyl H has
-    a level within tol of theta.  A vanishing beta (an invariant Krylov
-    space) or GAP_MAX_STEPS steps, without a passing check, raise
-    EigensolverError.
-    """
-    Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
-    dim, cols = mat.shape[0], GAP_CHECK_STEPS
-    dtype = np.result_type(mat.dtype, Vf.dtype)
-    gemv, nrm2, dotc = sla.get_blas_funcs(("gemv", "nrm2", "dotc"), dtype=dtype)
-    alpha, beta = np.empty(GAP_MAX_STEPS), np.empty(GAP_MAX_STEPS)
-    blocks = []
-
-    def deflate(x):  # x - V V^H x, on scipy's BLAS as every product here
-        return x - gemv(1.0, Vf, gemv(1.0, Vf, x, trans=2)) if Vf.shape[1] else x
-
-    w = deflate(v0)
-    for j in range(GAP_MAX_STEPS):
-        if j % cols == 0:
-            blocks.append(np.empty((dim, cols), dtype=dtype, order="F"))
-        q = np.divide(w, beta[j - 1] if j else nrm2(w), out=blocks[-1][:, j % cols])
-        w = mat @ q
-        alpha[j] = dotc(q, w).real
-        w -= alpha[j] * q
-        if j:
-            w -= beta[j - 1] * q_prev
-        w = deflate(w)
-        beta[j] = nrm2(w)
-        q_prev = q
-        invariant = beta[j] <= np.finfo(float).eps * np.abs(alpha[: j + 1]).max()
-        last = invariant or j + 1 == GAP_MAX_STEPS
-        if last or (j + 1) % cols == 0:
-            _, s = sla.eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
-            if last or beta[j] * abs(s[-1, 0]) <= tol / 2:
-                x = np.zeros(dim, dtype=dtype)
-                for b, Q in enumerate(blocks):
-                    k = min(cols, j + 1 - b * cols)
-                    x = gemv(1.0, Q[:, :k], s[b * cols : b * cols + k, 0], 1.0, x, overwrite_y=True)
-                x = deflate(x)
-                x /= nrm2(x)
-                Hx = mat @ x
-                theta = dotc(x, Hx).real
-                resid = nrm2(Hx - theta * x)
-                if resid <= tol:
-                    return theta, resid
-        if last:
-            space = ", in an invariant Krylov space" if invariant else ""
-            raise EigensolverError(
-                f"eigensolver failed on the gap: Ritz residual {resid:.3e} "
-                f"above {tol:.3e} after {j + 1} Lanczos steps{space}"
-            )
 
 
 def kernel_basis(H: GlobalOperator):

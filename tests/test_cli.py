@@ -41,12 +41,12 @@ class TestGapCommand:
         assert code == EXIT_CODES["config"]
 
     def test_krylov_basis_out_of_memory_is_too_large(self, capsys, monkeypatch):
-        from gapcert import operators
+        from gapcert import _tensor, operators
 
         real = np.empty
 
         def no_memory(shape, *args, **kwargs):
-            if kwargs.get("order") == "F" and shape == (2048, operators.GAP_CHECK_STEPS):
+            if kwargs.get("order") == "F" and shape == (2048, _tensor.LANCZOS_CHECK_STEPS):
                 raise MemoryError  # a block of the gap Lanczos basis, and nothing else
             return real(shape, *args, **kwargs)
 

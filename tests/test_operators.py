@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcert import operators
+from gapcert import _tensor, operators
 from gapcert._tensor import matfree_norm
 from gapcert.errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from gapcert.interaction import Interaction, InteractionTerm
@@ -414,45 +414,36 @@ def test_grown_kernel_and_gap_match_dense_oracles(case):
 
 
 class TestSolverFailures:
-    @staticmethod
-    def _no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty(0))
-
     def test_matfree_norm_raises_instead_of_estimating(self, monkeypatch):
-        monkeypatch.setattr(spla, "eigsh", self._no_convergence)
+        # 64 evenly spaced levels: two Lanczos steps cannot pass the check
+        monkeypatch.setattr(_tensor, "LANCZOS_MAX_STEPS", 2)
         op = spla.aslinearoperator(np.diag(np.linspace(0.0, 1.0, 64)))
-        with pytest.raises(EigensolverError, match="operator norm"):
+        with pytest.raises(EigensolverError, match="operator norm: .* after 2 Lanczos steps$"):
             matfree_norm(op)
 
     def test_sparse_gap_raises(self, monkeypatch):
         # two Lanczos steps cannot reach the residual check
-        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 2)
+        monkeypatch.setattr(_tensor, "LANCZOS_MAX_STEPS", 2)
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
         with pytest.raises(EigensolverError, match="on the gap"):
             spectral_data(H)
 
 
-class _CountedMatrix:
-    """H as the gap Lanczos sees it, counting its products with vectors."""
-
-    def __init__(self, mat, counts):
-        self._mat = mat
-        self._counts = counts
-        self.dtype, self.shape = mat.dtype, mat.shape
-
-    def __matmul__(self, x):
-        self._counts["gap"] += 1
-        return self._mat @ x
-
-
 @pytest.fixture
 def gap_matvecs(monkeypatch):
+    """Counts the products with H of the gap's Lanczos runs."""
     counts = {"gap": 0}
-    real = operators._gap_lanczos
-    monkeypatch.setattr(
-        operators, "_gap_lanczos", lambda mat, *a: real(_CountedMatrix(mat, counts), *a)
-    )
+    real = operators.lanczos
+
+    def counted(apply, *args, **kwargs):
+        def product(x):
+            counts["gap"] += 1
+            return apply(x)
+
+        return real(product, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "lanczos", counted)
     return counts
 
 
@@ -496,10 +487,10 @@ class TestSparseGapSolve:
             assert gap == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-12)
         # a cap at the products of the default run, which are at least its
         # steps, leaves the run and its gap as they were
-        monkeypatch.setattr(operators, "GAP_MAX_STEPS", gap_matvecs["gap"])
+        monkeypatch.setattr(_tensor, "LANCZOS_MAX_STEPS", gap_matvecs["gap"])
         assert spectral_data(H).gap == gap
         # a tiny cap stops the run there, with one product per formed Ritz vector
-        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 16)
+        monkeypatch.setattr(_tensor, "LANCZOS_MAX_STEPS", 16)
         gap_matvecs["gap"] = 0
         with pytest.raises(EigensolverError, match="above .* after 16 Lanczos steps$"):
             spectral_data(H)
@@ -513,9 +504,9 @@ class TestSparseGapSolve:
         sd = spectral_data(hamiltonian(phi, tuple(range(10))))
         assert (sd.kernel_dim, sd.solver) == (11, "sparse")
         # one run of more than 300 steps: at most one product in every
-        # GAP_CHECK_STEPS + 1 forms a Ritz vector (903 products with restarts)
-        products = gap_matvecs["gap"]
-        assert (products - 1) * operators.GAP_CHECK_STEPS > 300 * (operators.GAP_CHECK_STEPS + 1)
+        # LANCZOS_CHECK_STEPS + 1 forms a Ritz vector (903 products with restarts)
+        products, cols = gap_matvecs["gap"], _tensor.LANCZOS_CHECK_STEPS
+        assert (products - 1) * cols > 300 * (cols + 1)
         assert products <= 420
         Hd = dense_bond_hamiltonian(10, [(t.support[0], t.matrix) for t in phi.terms])
         assert sd.gap == pytest.approx(dense_gap(Hd), rel=1e-10)
@@ -531,13 +522,13 @@ class TestSparseGapSolve:
     ):
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
         # no Ritz vector passes the check; the run goes on past dim 256 - 9
-        # (no reorthogonalisation) and stops at GAP_MAX_STEPS
+        # (no reorthogonalisation) and stops at LANCZOS_MAX_STEPS
         H = hamiltonian(heisenberg_fm(chain_graph(8)), tuple(range(8)))
-        m = operators.GAP_MAX_STEPS
+        m = _tensor.LANCZOS_MAX_STEPS
         with pytest.raises(EigensolverError, match=f"above .* after {m} Lanczos steps$"):
             spectral_data(H)
-        # a Ritz vector formed at most every GAP_CHECK_STEPS steps, and at the cap
-        assert gap_matvecs["gap"] <= m + m // operators.GAP_CHECK_STEPS + 1
+        # a Ritz vector formed at most every LANCZOS_CHECK_STEPS steps, and at the cap
+        assert gap_matvecs["gap"] <= m + m // _tensor.LANCZOS_CHECK_STEPS + 1
 
     def test_gap_is_read_from_h(self, gap_matvecs, monkeypatch):
         monkeypatch.setattr(operators, "DENSE_CAP", 8)
@@ -546,13 +537,10 @@ class TestSparseGapSolve:
         sd = spectral_data(hamiltonian(phi, tuple(range(10))))
         assert (sd.solver, sd.kernel_dim) == ("sparse", 324)
         assert abs(sd.gap - 1.0) <= 1e-14
-        # H has the levels 1..4 off its kernel, so the run ends in the first block
-        assert gap_matvecs["gap"] <= operators.GAP_CHECK_STEPS + 1
-        # four steps span the levels: a cap at 5 forms x from a partial block
-        monkeypatch.setattr(operators, "GAP_MAX_STEPS", 5)
-        gap_matvecs["gap"] = 0
-        assert abs(spectral_data(hamiltonian(phi, tuple(range(10)))).gap - 1.0) <= 1e-14
-        assert gap_matvecs["gap"] == 5 + 1
+        # H has the levels 1..4 off its kernel: four steps span them, the
+        # fourth beta is at the rounding level of the deflated recurrence
+        # (an invariant Krylov space), and x comes from a partial block
+        assert gap_matvecs["gap"] == 4 + 1
 
     def test_grown_kernel_makes_no_block_solves(self, monkeypatch):
         factored = []

@@ -226,6 +226,9 @@ def test_insertion_composite_without_to_dense(n, F):
     _assert_applies_match(op, dense)
     ref = float(np.linalg.norm(dense, 2))
     assert abs(matfree_norm(op) - ref) <= 1e-8 * max(1.0, ref)
+    # the bound the norm's stop reads: 1 per projector and per Chebyshev
+    # step, sum |c_i| per coefficient polynomial
+    assert op.bound >= ref * (1 - 1e-12)
 
 
 def _off_diagonal_nonzeros(dense):
@@ -259,6 +262,9 @@ def test_mixed_chain_flag_applies_and_norm(chain):
     ref = float(np.linalg.norm(dense, 2))
     tol = 1e-13 if chain.diagonal else 1e-8
     assert abs(matfree_norm(chain) - ref) <= tol * max(1.0, ref)
+    # the structural bound on the norm, from the plan's leaves
+    assert chain.bound >= ref * (1 - 1e-12)
+    assert all(f.bound >= np.linalg.norm(f.to_dense(), 2) * (1 - 1e-12) for f in chain.factors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,8 +275,8 @@ def test_diagonal_leaves_make_diagonal_chains(chain):
     assert _off_diagonal_nonzeros(chain.to_dense()) == 0
 
 
-def _no_eigsh(*args, **kwargs):
-    raise AssertionError("eigsh called on a diagonal operator")
+def _no_lanczos(*args, **kwargs):
+    raise AssertionError("Lanczos run on a diagonal operator")
 
 
 def _count_applies(op):
@@ -326,7 +332,7 @@ class TestDiagonalNorm:
         )
         # DL(t), the layer product, and the insertion identity's difference
         ops = [dl, T, Difference(dl, inserted)]
-        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        monkeypatch.setattr(tensor, "lanczos", _no_lanczos)
         for op in ops:
             assert op.diagonal
             counts = _count_applies(op)
@@ -338,7 +344,7 @@ class TestDiagonalNorm:
 
     def test_random_diagonal_chain_is_exact(self, monkeypatch):
         chain = _dyadic_diagonal_chain()
-        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        monkeypatch.setattr(tensor, "lanczos", _no_lanczos)
         assert chain.diagonal
         counts = _count_applies(chain)
         value = matfree_norm(chain)
@@ -376,7 +382,7 @@ class TestDiagonalNorm:
         full = chain.matvec(np.ones(dim))
         slabs = [chain.diagonal_slab(lo, lo + size) for lo in range(0, dim, size)]
         assert np.array_equal(np.concatenate(slabs), full)
-        monkeypatch.setattr(spla, "eigsh", _no_eigsh)
+        monkeypatch.setattr(tensor, "lanczos", _no_lanczos)
         counts = _count_applies(chain)
         assert matfree_norm(chain) == float(np.abs(full).max())
         assert counts == {"matvec": 0, "rmatvec": 0}
@@ -387,13 +393,13 @@ class TestDiagonalNorm:
         op = SiteBlockOperator(block, (1, 4), 6, 2)
         foreign = spla.aslinearoperator(np.diag(np.arange(64.0)))
         calls = []
-        real = spla.eigsh
+        real = tensor.lanczos
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(spla, "eigsh", counting)
+        monkeypatch.setattr(tensor, "lanczos", counting)
         assert not op.diagonal
         assert not OperatorChain([op], 64).diagonal
         assert matfree_norm(op) == pytest.approx(2.0, rel=1e-8)
@@ -402,7 +408,8 @@ class TestDiagonalNorm:
 
 
 def test_tiny_non_diagonal_norm_converges():
-    # the Gram operator's levels are ~1e-32, below ARPACK's absolute stop
+    # the Gram operator's levels are ~1e-32: a foreign operator has no bound
+    # and stops on the relative residual alone
     rng = np.random.default_rng(11)
     A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     dense = 1e-16 * (A + A.conj().T)
@@ -410,3 +417,26 @@ def test_tiny_non_diagonal_norm_converges():
     # pytest.approx would pass it on its 1e-12 absolute default
     assert abs(matfree_norm(spla.aslinearoperator(dense)) - exact) <= 1e-8 * exact
     assert matfree_norm(spla.aslinearoperator(np.zeros((64, 64)))) == 0.0
+    # an in-house operator's rounding floor scales with its bound, here
+    # ||block|| = 2.1e-15, so it does not clip a genuinely small norm
+    block = 1e-16 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+    op = SiteBlockOperator(block, tuple(range(6)), 6, 2)
+    assert not op.diagonal and op.bound == np.linalg.norm(block, 2)
+    exact = np.linalg.norm(op.to_dense(), 2)
+    assert abs(matfree_norm(op) - exact) <= 1e-8 * exact
+
+
+def test_rounding_level_commutator_stops_at_once():
+    # the two odd columns of the FM n = 13 chain at t = 2 (the dl-check's one
+    # same-parity pair) commute: their commutator's norm is at the rounding
+    # level (1.6e-16 by ARPACK, after 41 Gram products); its bound 2 puts the
+    # stop at the rounding floor
+    g = chain_graph(13)
+    decomp = column_decomposition(heisenberg_fm(g), g, tuple(range(13)), 2)
+    assert (decomp.even_indices, decomp.odd_indices) == ([4], [-2, 10])
+    qm, qn = (decomp.projectors[m] for m in decomp.odd_indices)
+    comm = Difference(OperatorChain([qm, qn], decomp.dim), OperatorChain([qn, qm], decomp.dim))
+    assert not comm.diagonal and comm.bound == 2.0
+    products = _count_applies(comm)
+    assert matfree_norm(comm) <= 1e-12
+    assert products["matvec"] == products["rmatvec"] <= tensor.LANCZOS_CHECK_STEPS + 2
