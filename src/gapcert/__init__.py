@@ -46,9 +46,7 @@ from .lattice import (  # noqa: F401
 from .operators import (  # noqa: F401
     GlobalOperator,
     check_frustration_free,
-    ground_projector,
     hamiltonian,
-    operator_norm,
     sandwich_check,
     spectral_data,
 )

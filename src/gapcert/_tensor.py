@@ -265,22 +265,26 @@ class SiteBlockOperator(_SiteLeaf):
 
 @dataclass(eq=False)
 class FactoredProjectorBlock(_SiteLeaf):
-    """V V^dag acting on selected tensor factors, kept in factored form.
+    """V V^dag acting on selected tensor factors, kept in factored form, or
+    its complement 1 - V V^dag with complement.
 
     For kernel projectors of large sub-regions the rank is tiny compared to
     the block dimension, so applying two skinny matmuls (placed as in
     _SiteLeaf) beats storing the d^m x d^m projector.  The positions must
-    strictly increase within [0, n).  The basis may be dense or sparse
-    (one-hot kernel bases of diagonal Hamiltonians stay sparse).  A basis
-    with at most one stored entry per column makes V V^dag diagonal, applied
-    as a broadcast multiply; any other sparse basis is applied densely.
+    strictly increase within [0, n); all n of them give the projector on the
+    whole space.  The basis may be dense or sparse (one-hot kernel bases of
+    diagonal Hamiltonians stay sparse).  A basis with at most one stored
+    entry per column makes V V^dag diagonal, applied as a broadcast multiply
+    by |v|^2 (1 - |v|^2 for the complement); any other sparse basis is
+    applied densely.
     """
 
     basis: object  # (d^m, r) ndarray or sparse, orthonormal columns
     positions: tuple[int, ...]
     n: int
     d: int
-    bound = 1.0  # a projector
+    complement: bool = False
+    bound = 1.0  # a projector, or its complement
 
     def __post_init__(self):
         if self.basis.shape[0] != self.d ** len(self.positions):
@@ -288,15 +292,23 @@ class FactoredProjectorBlock(_SiteLeaf):
         V = self.basis
         if _one_hot_columns(V):
             abs2 = V.multiply(V.conj()) if sp.issparse(V) else V * V.conj()
-            self._place(np.asarray(abs2.sum(axis=1)).reshape(-1))
+            abs2 = np.asarray(abs2.sum(axis=1)).reshape(-1)
+            self._place(1 - abs2 if self.complement else abs2)
         else:
             self._place(None)
             V = V.toarray() if sp.issparse(V) else V
             self._mats = self._rmats = (V.conj().T, V)  # Hermitian
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        px = super().matvec(x)
+        return x - px if self.complement and self._diag is None else px
+
+    rmatvec = matvec  # Hermitian
+
     def block_matrix(self) -> np.ndarray:
         V = self.basis.toarray() if sp.issparse(self.basis) else self.basis
-        return V @ V.conj().T
+        P = V @ V.conj().T
+        return np.eye(P.shape[0]) - P if self.complement else P
 
     def to_sparse(self) -> sp.csr_matrix:
         return embed_sum([(self.block_matrix(), self.positions)], self.n, self.d)
@@ -427,51 +439,6 @@ class Difference:
 
     def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
         return self.a.diagonal_slab(start, stop) - self.b.diagonal_slab(start, stop)
-
-
-class ProjectorFromBasis:
-    """Orthogonal projector V V^dag given an orthonormal (possibly sparse) basis V."""
-
-    bound = 1.0  # a projector, or its complement
-
-    def __init__(self, basis, dim: int, complement: bool = False):
-        self.basis = basis
-        self.dim = dim
-        self.complement = complement
-        self._one_hot = _one_hot_columns(basis)
-        if self._one_hot:
-            # the diagonal of V V^dag: |v|^2 on the sorted rows of the entries
-            V = sp.coo_matrix(basis)
-            self._rows, inverse = np.unique(V.row, return_inverse=True)
-            self._abs2 = np.bincount(inverse, (V.data * V.data.conj()).real, self._rows.size)
-
-    @property
-    def shape(self):
-        return (self.dim, self.dim)
-
-    @property
-    def diagonal(self) -> bool:
-        """At most one stored entry per basis column."""
-        return self._one_hot
-
-    def matvec(self, x):
-        V = self.basis
-        px = V @ (V.conj().T @ x)
-        return x - px if self.complement else px
-
-    rmatvec = matvec  # Hermitian
-
-    def diagonal_slab(self, start: int, stop: int) -> np.ndarray:
-        lo, hi = np.searchsorted(self._rows, (start, stop))
-        out = np.zeros(stop - start)
-        out[self._rows[lo:hi] - start] = self._abs2[lo:hi]
-        return 1.0 - out if self.complement else out
-
-    def to_dense(self):
-        V = self.basis
-        V = V.toarray() if sp.issparse(V) else V
-        P = V @ V.conj().T
-        return np.eye(self.dim) - P if self.complement else P
 
 
 def lanczos(apply, v0, tol, bound=None, deflate=lambda x: x, highest=False, subject="a level"):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tensor import Difference, OperatorChain, ProjectorFromBasis, matfree_norm
+from ._tensor import Difference, FactoredProjectorBlock, OperatorChain, matfree_norm
 from .errors import CertificationError, SplitError
 from .interaction import Interaction, reduce_to_projectors
 from .lattice import (
@@ -51,7 +51,7 @@ def pair_overlap_norm(
     the caller already has them.
     """
     region = make_region(pair.Y)
-    dim = phi.d ** len(region)
+    n = len(region)
     if projectors is None:
         phi_proj = reduce_to_projectors(
             Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
@@ -63,7 +63,8 @@ def pair_overlap_norm(
     if region_solve is None:
         region_solve = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
     diff = Difference(
-        OperatorChain(list(projectors), dim), ProjectorFromBasis(region_solve.kernel(), dim)
+        OperatorChain(list(projectors), phi.d ** n),
+        FactoredProjectorBlock(region_solve.kernel(), tuple(range(n)), n, phi.d),
     )
     return matfree_norm(diff)
 

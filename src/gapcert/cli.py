@@ -17,9 +17,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import certification, detectability, fileio, models, operators
+from ._tensor import FactoredProjectorBlock, OperatorChain, matfree_norm
 from .errors import (
     AdmissibilityError,
     CertificationError,
@@ -28,7 +27,7 @@ from .errors import (
     EigensolverError,
     GapcertError,
 )
-from .interaction import commutation_degree, layer_coloring, validate
+from .interaction import commutation_degree, layer_coloring, phi_bounds, validate
 from .lattice import chain_graph, check_embedding, grid_graph, make_region, split_pairs
 from .operators import hamiltonian, spectral_data
 
@@ -151,6 +150,7 @@ def cmd_gap(args) -> int:
     region = make_region(g.ids)
     H = hamiltonian(phi, region, cap=cfg.dim_cap)
     sd = spectral_data(H)
+    sd.kernel()  # an empty kernel is not frustration-free: InteractionError
     print(f"region size {len(region)}  hilbert dim {H.dim}")
     print(f"kernel dim {sd.kernel_dim}  solver {sd.solver}")
     print(f"gap {_fmt(sd.gap)}" if sd.gap is not None else "gap undefined (gapless-trivial)")
@@ -182,10 +182,8 @@ def cmd_dl_check(args) -> int:
     # H is not kept: the matrix-free norms below set the peak memory
     sd = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
     lam = min(sd.gap, 1.0) if sd.gap is not None else 1.0
-    V = sd.kernel()
-    from ._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
-
-    P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
+    n = len(region)
+    P_perp = FactoredProjectorBlock(sd.kernel(), tuple(range(n)), n, phi.d, complement=True)
     dl_norm = matfree_norm(dl)
     checks.append(("dl-norm<=1", dl_norm <= 1.0 + 1e-10, f"{dl_norm:.6f}"))
     dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
@@ -288,8 +286,6 @@ def cmd_certify(args) -> int:
     s_fn, s_rule = _parse_s_rule(cfg.s_rule)
     if s_fn is None:
         s_fn, s_rule = (lambda k: cfg.s), (float(cfg.s), 0.0)
-    from .interaction import phi_bounds
-
     phi_min = phi_bounds(phi)[1]
     rows = []
     entries = []

@@ -20,7 +20,6 @@ from ._tensor import (
     Difference,
     FactoredProjectorBlock,
     OperatorChain,
-    ProjectorFromBasis,
     matfree_norm,
 )
 from .certification import pair_overlap_norm
@@ -33,7 +32,13 @@ from .interaction import (
     reduce_to_projectors,
 )
 from .lattice import EmbeddedGraph, Region, make_region
-from .operators import SpectralData, embedded_kernel_projector, hamiltonian, spectral_data
+from .operators import (
+    SpectralData,
+    embedded_block,
+    embedded_kernel_projector,
+    hamiltonian,
+    spectral_data,
+)
 
 # matrix-free product-space cap for the DL path
 DL_DIM_CAP = 2 ** 20
@@ -201,8 +206,6 @@ class LayerProduct(OperatorChain):
 
 def layer_product(phi: Interaction, region: Region) -> LayerProduct:
     """Assemble the layered product of term-complement projectors on a region."""
-    from .operators import embedded_block
-
     region = make_region(region)
     contained = phi.terms_within(region)
     if contained:
@@ -616,7 +619,8 @@ def overlap_bound_check(
         region_solve = spectral_data(hamiltonian(decomp.phi, region), with_basis=True)
     lhs = pair_overlap_norm(phi, pair, region_solve=region_solve, projectors=(P_A, P_B))
     if dl_perp is None:
-        P_perp = ProjectorFromBasis(region_solve.kernel(), dim, complement=True)
+        V, n = region_solve.kernel(), len(region)
+        P_perp = FactoredProjectorBlock(V, tuple(range(n)), n, phi.d, complement=True)
         dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], dim))
 
     lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0

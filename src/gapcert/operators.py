@@ -1,5 +1,6 @@
-"""Operators on tensor-product spaces: Hamiltonian assembly, spectra, ground
-projectors, operator norms, and the projector-reduction gap sandwich.
+"""Operators on tensor-product spaces: Hamiltonian assembly, the region
+solve (kernel and gap), embedded kernel projectors, and the
+projector-reduction gap sandwich.
 
 Dense eigensolvers handle dimensions up to DENSE_CAP; above it the kernel is
 grown site by site from the terms and the gap found by one Lanczos run on H
@@ -17,16 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._tensor import (
-    MATERIALIZE_CAP,
     FactoredProjectorBlock,
     SiteBlockOperator,
     diagonal_sum,
     embed_sum,
     lanczos,
-    matfree_norm,
     zero_off_diagonal,
 )
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
@@ -42,40 +40,29 @@ SOLVER_SEED = 1234
 SANDWICH_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class GlobalOperator:
-    """Hermitian operator on the d^len(region) space of a region.
+    """Hermitian operator on the d^len(region) space of a region, the sum of
+    its terms: the (block, positions) pairs that hamiltonian() and embed()
+    build, each block a d^m x d^m array on m factor positions.
 
-    Given by its terms, the (block, positions) pairs that hamiltonian() and
-    embed() build, or by its matrix alone (terms None), which is one term on
-    its whole region; not by both.  The matrix of an operator given by its
-    terms is the canonical CSR of their embedded sum (embed_sum), built on
-    first read: the region solve reads the terms, and a diagonal H is solved
-    from them and never assembled.  Frozen, so the matrix cannot drift from
-    the terms.
+    Its matrix is the canonical CSR of their embedded sum (embed_sum), built
+    on first read: the region solve reads the terms, and a diagonal H is
+    solved from them and never assembled.  Frozen, and the terms kept as a
+    tuple, so the matrix cannot drift from the terms.
     """
 
     region: Region
     d: int
-    terms: list | None
+    terms: tuple
 
-    def __init__(self, region, d: int, matrix=None, terms: list | None = None):
-        object.__setattr__(self, "region", make_region(region))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "terms", terms)
-        if (matrix is None) == (terms is None):
-            raise ValueError("an operator is given by exactly one of its matrix and its terms")
-        if matrix is None:
-            return
-        if matrix.shape != (self.dim, self.dim):
-            raise RegionError(
-                f"operator dimension {matrix.shape} != d^|region| = {self.dim}"
-            )
-        object.__setattr__(self, "matrix", matrix)
+    def __post_init__(self):
+        object.__setattr__(self, "region", make_region(self.region))
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     @functools.cached_property
-    def matrix(self):
-        """ndarray or scipy sparse; for terms, their CSR, built on first read."""
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR of the terms, built on first read."""
         return embed_sum(self.terms, len(self.region), self.d)
 
     @property
@@ -83,7 +70,7 @@ class GlobalOperator:
         return self.d ** len(self.region)
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray() if sp.issparse(self.matrix) else np.asarray(self.matrix)
+        return self.matrix.toarray()
 
 
 def _positions(support: Region, region: Region) -> tuple[int, ...]:
@@ -96,7 +83,7 @@ def _positions(support: Region, region: Region) -> tuple[int, ...]:
 def embed(term: InteractionTerm, region: Region, d: int) -> GlobalOperator:
     """Kronecker embedding of a term into a region: term on its factors, id elsewhere."""
     region = make_region(region)
-    return GlobalOperator(region, d, terms=[(term.matrix, _positions(term.support, region))])
+    return GlobalOperator(region, d, [(term.matrix, _positions(term.support, region))])
 
 
 def check_dimension(d: int, region, cap: int = SPARSE_CAP) -> int:
@@ -132,7 +119,7 @@ def hamiltonian(
                 Interaction(contained, R=phi.R, d=phi.d)
             )
     blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms_within(region)]
-    return GlobalOperator(region, phi.d, terms=blocks)
+    return GlobalOperator(region, phi.d, blocks)
 
 
 @dataclass
@@ -159,9 +146,10 @@ class SpectralData:
         return self.gap is None
 
     def kernel(self):
-        """The kernel basis; EigensolverError when the kernel is empty."""
+        """The kernel basis; InteractionError when the kernel is empty, as
+        an input that is not frustration-free."""
         if self.kernel_dim == 0:
-            raise EigensolverError("not frustration-free: empty kernel")
+            raise InteractionError("not frustration-free: empty kernel")
         return self.basis
 
 
@@ -170,9 +158,8 @@ def spectral_data(H: GlobalOperator, with_basis: bool = False) -> SpectralData:
 
     The solver follows from H alone: the diagonal shortcut when every term
     block is diagonal, read from the sum of the terms' diagonals without
-    assembling H (or, for H given by its matrix, when the matrix has no
-    off-diagonal entries); a dense solve when dim <= DENSE_CAP or H carries
-    no terms (eigenvectors only with with_basis); otherwise the kernel grown
+    assembling H; a dense solve when dim <= DENSE_CAP (eigenvectors only
+    with with_basis); otherwise the kernel grown
     from the terms (_grown_kernel) and the gap by Lanczos on H deflated
     against it (_tensor.lanczos).  A grown kernel wider than MAX_KERNEL goes
     to the dense solve when dim <= 2 * DENSE_CAP and raises EigensolverError
@@ -247,12 +234,6 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     # solve passes through exactly one public entry point.  DENSE_CAP is read
     # at call time, so that tests can move the crossover by patching it
     dim = H.dim
-    if H.terms is None:
-        mat = H.matrix.tocsr() if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix)
-        coo = mat.tocoo()
-        if not np.any(coo.data[coo.row != coo.col]):
-            return _diagonal_solve(mat.diagonal())
-        return _dense_solve(mat, with_basis)
     norms = _term_norms(H.terms)
     if all(zero_off_diagonal(block) for block, _ in H.terms):
         return _diagonal_solve(diagonal_sum(H.terms, len(H.region), H.d).reshape(-1))
@@ -339,49 +320,14 @@ def kernel_basis(H: GlobalOperator):
     """Orthonormal basis of the kernel (ground space) as a (dim, r) array.
 
     The basis of the region solve (see spectral_data); sparse one-hot for
-    diagonal H.  Raises EigensolverError when the kernel is empty.
+    diagonal H.  Raises InteractionError when the kernel is empty.
     """
     return _region_solve(H, with_basis=True).kernel()
-
-
-def ground_projector(H: GlobalOperator) -> GlobalOperator:
-    """Orthogonal projector onto the kernel of a frustration-free operator.
-
-    Materializes the dense projector, so it is gated at
-    _tensor.MATERIALIZE_CAP; use kernel_basis directly for factored
-    large-dimension work.
-    """
-    if H.dim > MATERIALIZE_CAP:
-        raise DimensionCapError(
-            f"region too large for an explicit projector (dim {H.dim} > {MATERIALIZE_CAP})"
-        )
-    V = kernel_basis(H)
-    if sp.issparse(V):
-        V = V.toarray()
-    return GlobalOperator(H.region, H.d, V @ V.conj().T)
 
 
 def check_frustration_free(H: GlobalOperator) -> bool:
     """True iff the smallest eigenvalue sits at zero (within tolerance)."""
     return spectral_data(H).kernel_dim > 0
-
-
-def operator_norm(M, hermitian: bool = False) -> float:
-    """Largest singular value of a GlobalOperator, array, sparse matrix, or
-    matvec-capable object."""
-    if isinstance(M, GlobalOperator):
-        M = M.matrix
-    if sp.issparse(M):
-        if M.shape[0] <= DENSE_CAP:
-            M = M.toarray()
-        else:
-            return matfree_norm(spla.aslinearoperator(M))
-    if isinstance(M, np.ndarray):
-        if hermitian:
-            w = np.linalg.eigvalsh(M)
-            return float(abs(w).max()) if w.size else 0.0
-        return float(np.linalg.norm(M, 2))
-    return matfree_norm(M)
 
 
 @dataclass
@@ -428,19 +374,6 @@ def embedded_block(
 ) -> SiteBlockOperator:
     """Matrix-free embedding used by the detectability machinery."""
     return SiteBlockOperator(block, _positions(support, region), len(region), d)
-
-
-def dump_operator(H: GlobalOperator) -> str:
-    """Debug dump: dimension line, then one '(row, col, re, im)' per nonzero."""
-    mat = H.matrix.tocoo() if sp.issparse(H.matrix) else sp.coo_matrix(H.matrix)
-    lines = [f"dim {H.dim}"]
-    order = np.lexsort((mat.col, mat.row))
-    for idx in order:
-        z = complex(mat.data[idx])
-        lines.append(
-            f"{mat.row[idx]} {mat.col[idx]} {z.real:.17g} {z.imag:.17g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def embedded_kernel_projector(

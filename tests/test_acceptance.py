@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gapcert import operators
-from gapcert._tensor import ProjectorFromBasis
+from gapcert._tensor import FactoredProjectorBlock
 from gapcert.certification import (
     GapSequence,
     ScalingHypothesis,
@@ -184,7 +184,7 @@ def test_criterion_6_standard_dl_inequality():
             assert g_meas == g_expected
             T = layer_product(phi, region)
             V = kernel_basis(H)
-            P_perp = ProjectorFromBasis(V, 2 ** n, complement=True)
+            P_perp = FactoredProjectorBlock(V, tuple(range(n)), n, 2, complement=True)
             rep = standard_dl_check(T, P_perp, lam, g_meas)
             if not rep.ok:
                 violations += 1

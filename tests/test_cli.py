@@ -581,6 +581,29 @@ class TestNotPositiveSemidefinite:
         assert "not positive semidefinite (term on factors (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--length", "2"],
+        ["gap", "--length", "12"],  # dim 4096: the sparse solve
+        ["dl-check", "--length", "4"],
+        ["certify", "--length", "13", "--k-min", "6", "--k-max", "6", "--s", "1"],
+    ],
+    ids=["gap-dense", "gap-sparse", "dl-check", "certify"],
+)
+def test_frustrated_input_exits_config(argv, tmp_path, capsys):
+    # diag(1, 0.5) on site 0 plus a singlet bond: every state has energy at
+    # least 0.5, so there is no kernel and the lowest level is no gap
+    path = tmp_path / "frustrated.txt"
+    terms = [InteractionTerm((0,), np.diag([1.0, 0.5])), InteractionTerm((0, 1), singlet_4x4())]
+    path.write_text(format_interaction(Interaction(terms, R=1.0, d=2)))
+    code = run(argv + ["--interaction-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CODES["config"]
+    assert "not frustration-free: empty kernel" in captured.err
+    assert "gap" not in captured.out
+
+
 def test_gap_hands_a_large_kernel_to_the_dense_solve(tmp_path, capsys):
     # one singlet bond on 10 sites: kernel 3 * 2^8, wider than MAX_KERNEL
     path = tmp_path / "phi.txt"

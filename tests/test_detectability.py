@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcert._tensor import OperatorChain, ProjectorFromBasis, matfree_norm
+from gapcert._tensor import FactoredProjectorBlock, OperatorChain, matfree_norm
 from gapcert.detectability import (
     ChebyshevStep,
     check_commuting,
@@ -157,7 +157,7 @@ class TestDLOperator:
         dl = dl_operator(decomp)
         H = hamiltonian(phi, region, projector_form=True)
         V = kernel_basis(H)
-        P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(12)), 12, 2, complement=True)
         val = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         assert val < 1.0
 
@@ -224,7 +224,7 @@ class TestStandardDL:
         region = tuple(range(10))
         T = layer_product(toy, region)
         V = kernel_basis(hamiltonian(toy, region))
-        P_perp = ProjectorFromBasis(V, 2 ** 10, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(10)), 10, 2, complement=True)
         rep = standard_dl_check(T, P_perp, 1.0, 0)
         assert rep.g_flagged and rep.g_used == 1
         assert rep.norm_sq <= 1e-20
@@ -236,7 +236,7 @@ class TestStandardDL:
         region = tuple(range(6))
         T = layer_product(phi, region)
         V = kernel_basis(hamiltonian(phi, region, projector_form=True))
-        P_perp = ProjectorFromBasis(V, 2 ** 6, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(6)), 6, 2, complement=True)
         rep = standard_dl_check(T, P_perp, 1e-9, 2)
         assert rep.bound > 1.0 - 1e-8
         assert rep.ok
@@ -250,7 +250,7 @@ class TestStandardDL:
         lam = spectral_data(H).gap
         T = layer_product(phi, region)
         V = kernel_basis(H)
-        P_perp = ProjectorFromBasis(V, 2 ** n, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(n)), n, 2, complement=True)
         rep = standard_dl_check(T, P_perp, lam, 2)
         assert rep.ok
         assert rep.norm_sq < rep.bound  # strictly below at these sizes
@@ -387,7 +387,7 @@ class TestRefinedBound:
         decomp = column_decomposition(toy, g, region, 4)
         dl = dl_operator(decomp)
         V = kernel_basis(hamiltonian(toy, region))
-        P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(12)), 12, 2, complement=True)
         val = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         bound = refined_dl_bound(4, 1.0, 2, 1, 1.0, 1.0)
         assert bound < 1.0
@@ -505,7 +505,8 @@ class TestOverlapBound:
         pair = split_pairs(tuple(range(n)), 6, 1, g)[0]
         decomp = column_decomposition(phi, g, pair.Y, t, alpha=pair.alpha)
         sd = spectral_data(hamiltonian(decomp.phi, pair.Y), with_basis=True)
-        P_perp = ProjectorFromBasis(sd.kernel(), decomp.dim, complement=True)
+        m = len(pair.Y)
+        P_perp = FactoredProjectorBlock(sd.kernel(), tuple(range(m)), m, 2, complement=True)
         dl = dl_operator(decomp)
         dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
         bare = overlap_bound_check(phi, g, pair, t)
@@ -546,7 +547,7 @@ class TestBeyondChains:
         assert matfree_norm(dl) <= 1.0 + 1e-10
         H = hamiltonian(phi, region, projector_form=True)
         V = kernel_basis(H)
-        P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(12)), 12, 2, complement=True)
         T = layer_product(phi, region)
         from gapcert.interaction import commutation_degree
 
@@ -575,7 +576,7 @@ class TestBeyondChains:
         H = hamiltonian(phi, region, projector_form=True)
         sd = spectral_data(H)
         V = kernel_basis(H)
-        P_perp = ProjectorFromBasis(V, 2 ** 10, complement=True)
+        P_perp = FactoredProjectorBlock(V, tuple(range(10)), 10, 2, complement=True)
         from gapcert.interaction import commutation_degree
 
         drep = standard_dl_check(T, P_perp, min(sd.gap, 1.0), commutation_degree(phi))
@@ -592,7 +593,7 @@ def test_pperp_inf_variant_on_commuting_model():
     dl = dl_operator(decomp)
     H = hamiltonian(toy, region)
     V = kernel_basis(H)
-    P_perp = ProjectorFromBasis(V, decomp.dim, complement=True)
+    P_perp = FactoredProjectorBlock(V, tuple(range(10)), 10, 2, complement=True)
     dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
     T = layer_product(toy, region)
     tp = matfree_norm(OperatorChain(T.factors + [P_perp], T.dim))
@@ -668,20 +669,20 @@ def _json_numbers(value) -> list[float]:
 
 def _check_dl_norms(argv, diagonal, non_adjacent, monkeypatch, tmp_path):
     """Run dl-check and compare ||DL(t)|| and ||DL(t) P_perp|| with the dense norms."""
-    from gapcert import _tensor
+    from gapcert import cli
     from gapcert.cli import main
 
     normed = []
-    real = _tensor.matfree_norm
+    real = cli.matfree_norm
 
     def recording(op):
         value = real(op)
         normed.append((op, value))
         return value
 
-    # the battery imports matfree_norm when it runs, so it calls the
-    # recorder for ||DL(t)|| and then ||DL(t) P_perp||
-    monkeypatch.setattr(_tensor, "matfree_norm", recording)
+    # the battery calls the cli module's matfree_norm for ||DL(t)|| and then
+    # ||DL(t) P_perp||; the detectability checks bind their own
+    monkeypatch.setattr(cli, "matfree_norm", recording)
     js = tmp_path / "dl.json"
     assert main(["dl-check"] + argv + ["--out-json", str(js)]) == 0
     payload = json.loads(js.read_text())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcert import _tensor, operators
-from gapcert._tensor import matfree_norm
+from gapcert._tensor import Difference, FactoredProjectorBlock, OperatorChain, matfree_norm
 from gapcert.errors import DimensionCapError, EigensolverError, InteractionError, RegionError
 from gapcert.interaction import Interaction, InteractionTerm
 from gapcert.lattice import chain_graph, grid_graph, make_region
@@ -18,10 +18,8 @@ from gapcert.operators import (
     GlobalOperator,
     check_frustration_free,
     embed,
-    ground_projector,
     hamiltonian,
     kernel_basis,
-    operator_norm,
     sandwich_check,
     spectral_data,
 )
@@ -102,6 +100,8 @@ class TestHamiltonian:
             H.matrix = 2 * H.matrix
         with pytest.raises(dataclasses.FrozenInstanceError):
             H.terms = None
+        with pytest.raises(AttributeError):
+            H.terms.append((np.eye(2), (0,)))
 
     def test_diagonal_hamiltonian_is_solved_unassembled(self):
         phi = commuting_toy(chain_graph(12))
@@ -113,13 +113,6 @@ class TestHamiltonian:
         assert H.matrix.format == "csr" and H.matrix.has_canonical_format
         assert sd.kernel_dim == np.count_nonzero(diag == 0)
         assert np.array_equal(sd.basis.nonzero()[0], np.flatnonzero(diag == 0))
-
-    def test_operator_takes_its_matrix_or_its_terms(self):
-        H = hamiltonian(heisenberg_fm(chain_graph(3)), (0, 1, 2))
-        with pytest.raises(ValueError, match="exactly one of its matrix and its terms"):
-            GlobalOperator(H.region, H.d, H.matrix, H.terms)
-        with pytest.raises(ValueError, match="exactly one of its matrix and its terms"):
-            GlobalOperator(H.region, H.d)
 
     def test_four_site_kernel_dimension(self):
         phi = heisenberg_fm(chain_graph(4))
@@ -206,9 +199,21 @@ def test_hamiltonian_matches_sum_of_dense_embeddings(case):
     assert np.abs(H.toarray() - ref).max() <= 1e-14 * max(1.0, float(np.abs(ref).max()))
 
 
+def _whole(M, n, d=2):
+    """M as the one term of an operator on the whole region of n sites."""
+    return GlobalOperator(tuple(range(n)), d, [(M, tuple(range(n)))])
+
+
+def _ground_projector(H):
+    """The kernel projector of H on its whole region, kept factored: P_AB of
+    pair_overlap_norm."""
+    n = len(H.region)
+    return FactoredProjectorBlock(kernel_basis(H), tuple(range(n)), n, H.d)
+
+
 class TestSpectralData:
     def test_zero_operator_gapless_trivial(self):
-        H = GlobalOperator((0, 1), 2, np.zeros((4, 4)))
+        H = _whole(np.zeros((4, 4)), 2)
         sd = spectral_data(H)
         assert sd.gapless_trivial
         assert sd.kernel_dim == 4
@@ -557,19 +562,20 @@ class TestSparseGapSolve:
 
 def _shifted_fm(n, shift):
     """FM chain with `shift` added to the all-up level, which is in the kernel,
-    as a bare matrix: no term list to disagree with it."""
-    H = hamiltonian(heisenberg_fm(chain_graph(n)), tuple(range(n)))
-    shifted = H.matrix + shift * sp.csr_matrix(([1.0], ([0], [0])), shape=H.matrix.shape)
-    return GlobalOperator(H.region, H.d, shifted.tocsr())
+    as one term on the whole region."""
+    shifted = hamiltonian(heisenberg_fm(chain_graph(n)), tuple(range(n))).to_dense()
+    shifted[0, 0] += shift
+    return _whole(shifted, n)
 
 
 class TestNotPositiveSemidefinite:
     @pytest.mark.parametrize(
         "build, dense_cap",
+        # H with one term on its whole region, on each side of the cap: the
+        # term check refuses it before the solver is chosen
         [
             (lambda: _shifted_fm(6, -0.3), DENSE_CAP),
-            (lambda: GlobalOperator((0, 1), 2, np.diag([-0.3, 0.0, 1.0, 1.0])), DENSE_CAP),
-            # an operator without terms takes the dense solve at any cap
+            (lambda: _whole(np.diag([-0.3, 0.0, 1.0, 1.0]), 2), DENSE_CAP),
             (lambda: _shifted_fm(6, -0.3), 8),
             (lambda: _shifted_fm(6, -1e-7), 8),  # a level just below minus the tolerance
         ],
@@ -596,22 +602,20 @@ class TestNotPositiveSemidefinite:
 
 class TestGroundProjector:
     def test_zero_operator_gives_identity(self):
-        H = GlobalOperator((0, 1), 2, np.zeros((4, 4)))
-        P = ground_projector(H)
-        assert np.allclose(P.matrix, np.eye(4), atol=1e-12)
+        P = _ground_projector(_whole(np.zeros((4, 4)), 2))
+        assert np.allclose(P.to_dense(), np.eye(4), atol=1e-12)
 
     def test_two_site_triplet(self):
         phi = heisenberg_fm(chain_graph(2))
-        P = ground_projector(hamiltonian(phi, (0, 1)))
-        assert np.trace(P.matrix) == pytest.approx(3.0)
+        P = _ground_projector(hamiltonian(phi, (0, 1))).to_dense()
+        assert np.trace(P) == pytest.approx(3.0)
         oracle = dense_ground_projector(dense_chain_hamiltonian(2, singlet_4x4()))
-        assert np.allclose(P.matrix, oracle, atol=1e-10)
+        assert np.allclose(P, oracle, atol=1e-10)
 
     def test_idempotent_hermitian_annihilates(self):
         phi = heisenberg_fm(chain_graph(4))
         H = hamiltonian(phi, tuple(range(4)))
-        P = ground_projector(H)
-        m = P.matrix
+        m = _ground_projector(H).to_dense()
         assert np.linalg.norm(m @ m - m, 2) <= 1e-10
         assert np.linalg.norm(m - m.conj().T, 2) <= 1e-12
         assert np.trace(m) == pytest.approx(5.0)
@@ -619,18 +623,9 @@ class TestGroundProjector:
         assert np.linalg.norm(Hd @ m, 2) <= 10 * 1e-9 * max(1.0, np.linalg.norm(Hd, 2))
 
     def test_not_frustration_free(self):
-        H = GlobalOperator((0,), 2, np.eye(2))
-        with pytest.raises(EigensolverError, match="not frustration-free"):
-            ground_projector(H)
-
-    def test_gated_at_the_materialization_cap(self):
-        # dim 1024 is above DENSE_CAP but materializes
-        P = ground_projector(hamiltonian(heisenberg_fm(chain_graph(10)), tuple(range(10))))
-        assert np.trace(P.matrix) == pytest.approx(11.0)
-        assert np.linalg.norm(P.matrix @ P.matrix - P.matrix, 2) <= 1e-10
-        H = hamiltonian(heisenberg_fm(chain_graph(13)), tuple(range(13)))
-        with pytest.raises(DimensionCapError, match="explicit projector"):
-            ground_projector(H)
+        # an empty kernel is bad input, not a solver failure
+        with pytest.raises(InteractionError, match="not frustration-free"):
+            kernel_basis(_whole(np.eye(2), 1))
 
 
 class TestKernelBasis:
@@ -651,8 +646,6 @@ class TestKernelBasis:
         H = hamiltonian(toy, tuple(range(10)))
         V = kernel_basis(H)
         P = (V @ V.conj().T)
-        import scipy.sparse as sp
-
         assert sp.issparse(V)
         Hd = H.to_dense()
         assert np.linalg.norm(Hd @ P.toarray(), 2) <= 1e-9
@@ -665,7 +658,7 @@ class TestCheckFrustrationFree:
             assert check_frustration_free(hamiltonian(phi, tuple(range(n))))
 
     def test_identity_is_not(self):
-        assert not check_frustration_free(GlobalOperator((0,), 2, np.eye(2)))
+        assert not check_frustration_free(_whole(np.eye(2), 1))
 
     def test_random_low_rank_verdicts(self):
         g = chain_graph(4)
@@ -692,11 +685,12 @@ class TestCheckFrustrationFree:
 class TestOperatorNorm:
     def test_projector(self):
         phi = heisenberg_fm(chain_graph(3))
-        P = ground_projector(hamiltonian(phi, (0, 1, 2)))
-        assert operator_norm(P, hermitian=True) == pytest.approx(1.0, abs=1e-10)
+        P = _ground_projector(hamiltonian(phi, (0, 1, 2)))
+        assert matfree_norm(P) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero(self):
-        assert operator_norm(np.zeros((8, 8))) == 0.0
+        P = _ground_projector(hamiltonian(heisenberg_fm(chain_graph(3)), (0, 1, 2)))
+        assert matfree_norm(Difference(P, P)) == 0.0
 
     def test_overlap_difference_matches_dense_svd(self):
         n = 6
@@ -711,7 +705,13 @@ class TestOperatorNorm:
         )
         PY = dense_ground_projector(dense_chain_hamiltonian(n, singlet_4x4()))
         M = PA @ PB - PY
-        assert operator_norm(M) == pytest.approx(np.linalg.norm(M, 2), abs=1e-8)
+        # the matrix-free P_A P_B - P_Y, as pair_overlap_norm builds it
+        P_A, P_B = (
+            FactoredProjectorBlock(kernel_basis(hamiltonian(phi, X)), X, n, 2) for X in (A, B)
+        )
+        P_Y = _ground_projector(hamiltonian(phi, region))
+        op = Difference(OperatorChain([P_A, P_B], 2 ** n), P_Y)
+        assert matfree_norm(op) == pytest.approx(np.linalg.norm(M, 2), abs=1e-8)
 
 
 class TestSandwich:
@@ -742,28 +742,14 @@ class TestSandwich:
         assert rep.ok
 
 
-def test_debug_dump_round_trip():
-    from gapcert.operators import dump_operator
-
-    phi = heisenberg_fm(chain_graph(3))
-    H = hamiltonian(phi, (0, 1, 2))
-    text = dump_operator(H)
-    lines = text.strip().splitlines()
-    assert lines[0] == "dim 8"
-    rebuilt = np.zeros((8, 8), dtype=complex)
-    for line in lines[1:]:
-        r, c, re, im = line.split()
-        rebuilt[int(r), int(c)] = complex(float(re), float(im))
-    assert np.allclose(rebuilt, H.to_dense(), atol=1e-15)
-
-
 def test_tensor_factorization_for_disconnected_split():
     # no term crosses between {0..3} and {5..8}; P_{A u B} = P_A P_B
     phi = heisenberg_fm(chain_graph(9))
     A = (0, 1, 2, 3)
     B = (5, 6, 7, 8)
     region = make_region(A + B)
-    P_AB = ground_projector(hamiltonian(phi, region, projector_form=True)).matrix
+    V = kernel_basis(hamiltonian(phi, region, projector_form=True))
+    P_AB = V @ V.conj().T
     PA = dense_embed(
         dense_ground_projector(dense_chain_hamiltonian(4, singlet_4x4())), A, region
     )

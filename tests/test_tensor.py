@@ -1,10 +1,10 @@
 """Property tests for the matrix-free operator protocol of gapcert._tensor.
 
-Every leaf operator (SiteBlockOperator, FactoredProjectorBlock,
-ProjectorFromBasis) and every product of them is applied through
-matvec/rmatvec; these tests compare both against the materialized matrix,
-and matfree_norm against the dense spectral norm on both sides of its
-small-dimension branch (dimension 32).  Diagonal leaves (diagonal blocks,
+Every leaf operator (SiteBlockOperator, and FactoredProjectorBlock on some
+factors or on all of them, with or without complement) and every product of
+them is applied through matvec/rmatvec; these tests compare both against the
+materialized matrix, and matfree_norm against the dense spectral norm on
+both sides of its small-dimension branch (dimension 32).  Diagonal leaves (diagonal blocks,
 bases with one stored entry per column) and chains of them are checked for
 their diagonal flag and for the exact norm read slab by slab from their
 diagonal, with no apply.
@@ -24,7 +24,6 @@ from gapcert._tensor import (
     Difference,
     FactoredProjectorBlock,
     OperatorChain,
-    ProjectorFromBasis,
     SiteBlockOperator,
     matfree_norm,
 )
@@ -65,7 +64,8 @@ def _one_hot(rng, rows, complex_):
 def _leaf(rng, kind, n, d, complex_):
     if kind in ("projector", "one-hot projector"):
         basis = (_orthonormal if kind == "projector" else _one_hot)(rng, d ** n, complex_)
-        return ProjectorFromBasis(basis, d ** n, complement=bool(rng.integers(2)))
+        complement = bool(rng.integers(2))
+        return FactoredProjectorBlock(basis, tuple(range(n)), n, d, complement=complement)
     # a factored or diagonal block may act on no site at all
     m = int(rng.integers(1 if kind == "block" else 0, min(n, 3) + 1))
     start = int(rng.integers(0, n - m + 1))
@@ -168,6 +168,40 @@ def test_fused_diagonal_runs_match_unfused_bit_for_bit():
         z = f.rmatvec(z)
     assert np.array_equal(chain.matvec(x), y)
     assert np.array_equal(chain.rmatvec(x), z)
+
+
+def test_fused_run_reads_the_complemented_diagonal():
+    # a one-hot complement between two diagonal blocks, all within
+    # MATERIALIZE_CAP: one fused run, whose diagonal must be 1 - |v|^2
+    n, d = 10, 2
+    dim = d ** n
+    rng = np.random.default_rng(8)
+    rows = rng.choice(dim, size=300, replace=False)
+    V = sp.csc_matrix((rng.choice([1.0, -1.0, 1j], rows.size), (rows, np.arange(rows.size))),
+                      shape=(dim, rows.size))
+    a, b = rng.integers(1, 9, 8) / 8, rng.integers(1, 9, 4) / 8
+    chain = OperatorChain(
+        [
+            SiteBlockOperator(np.diag(a), (0, 4, 9), n, d),
+            FactoredProjectorBlock(V, tuple(range(n)), n, d, complement=True),
+            SiteBlockOperator(np.diag(b), (2, 3), n, d),
+        ],
+        dim,
+    )
+    assert dim <= tensor.MATERIALIZE_CAP
+    assert len(chain._plan) == 1 and isinstance(chain._plan[0], tensor._DiagonalRun)
+    # the dense product, built from the basis digits, not from the leaves
+    digit = [np.arange(dim) >> (n - 1 - p) & 1 for p in range(n)]
+    complement = np.eye(dim) - (V @ V.conj().T).toarray()
+    dense = np.diag(a[4 * digit[0] + 2 * digit[4] + digit[9]]) @ complement @ np.diag(
+        b[2 * digit[2] + digit[3]]
+    )
+    assert _off_diagonal_nonzeros(dense) == 0
+    x = _vector(dim)
+    assert np.array_equal(chain.matvec(x), dense @ x)
+    assert np.array_equal(chain.diagonal_slab(0, dim), np.diagonal(dense))
+    assert np.array_equal(chain.diagonal_slab(256, 512), np.diagonal(dense)[256:512])
+    assert matfree_norm(chain) == float(np.abs(np.diagonal(dense)).max())
 
 
 def test_empty_and_one_factor_chains_materialize_exactly():
@@ -313,7 +347,7 @@ def _dyadic_diagonal_chain(n=8, d=2):
         SiteBlockOperator(np.diag(dyadic(8)), (0, 3, 7), n, d),
         FactoredProjectorBlock(one_hot(16, 9), (1, 2, 5, 6), n, d),
         SiteBlockOperator(np.diag(dyadic(4)), (2, 6), n, d),
-        ProjectorFromBasis(one_hot(d ** n, 40), d ** n, complement=True),
+        FactoredProjectorBlock(one_hot(d ** n, 40), tuple(range(n)), n, d, complement=True),
         SiteBlockOperator(np.diag(dyadic(2)), (4,), n, d),
     ]
     return OperatorChain(factors, d ** n)
@@ -373,7 +407,7 @@ class TestDiagonalNorm:
         chain = OperatorChain(
             [
                 SiteBlockOperator(np.diag(dyadic(d ** 2)), (0, n - 1), n, d),
-                ProjectorFromBasis(V, dim, complement=True),
+                FactoredProjectorBlock(V, tuple(range(n)), n, d, complement=True),
                 SiteBlockOperator(np.diag(dyadic(d ** 3)), (1, 2, 3), n, d),
                 SiteBlockOperator(np.diag(dyadic(d)), (n - 2,), n, d),
             ],
