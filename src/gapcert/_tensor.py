@@ -291,7 +291,8 @@ class FactoredProjectorBlock(_SiteLeaf):
             raise ValueError("basis rows do not match positions")
         V = self.basis
         if _one_hot_columns(V):
-            abs2 = V.multiply(V.conj()) if sp.issparse(V) else V * V.conj()
+            # |v|^2 as a real number, with no complex rounding residue
+            abs2 = abs(V).power(2) if sp.issparse(V) else np.abs(V) ** 2
             abs2 = np.asarray(abs2.sum(axis=1)).reshape(-1)
             self._place(1 - abs2 if self.complement else abs2)
         else:
@@ -306,6 +307,8 @@ class FactoredProjectorBlock(_SiteLeaf):
     rmatvec = matvec  # Hermitian
 
     def block_matrix(self) -> np.ndarray:
+        if self._diag is not None:  # the diagonal the apply multiplies by
+            return np.diag(self._diag)
         V = self.basis.toarray() if sp.issparse(self.basis) else self.basis
         P = V @ V.conj().T
         return np.eye(P.shape[0]) - P if self.complement else P

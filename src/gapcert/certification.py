@@ -53,9 +53,7 @@ def pair_overlap_norm(
     region = make_region(pair.Y)
     n = len(region)
     if projectors is None:
-        phi_proj = reduce_to_projectors(
-            Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
-        )
+        phi_proj = reduce_to_projectors(phi.within(region))
         projectors = tuple(
             embedded_kernel_projector(phi_proj, X, region, phi.d)
             for X in (pair.A, pair.B)

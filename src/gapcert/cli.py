@@ -27,7 +27,9 @@ from .errors import (
     EigensolverError,
     GapcertError,
 )
-from .interaction import commutation_degree, layer_coloring, phi_bounds, validate
+from .interaction import (
+    commutation_degree, layer_coloring, phi_bounds, support_overlap_degree, validate
+)
 from .lattice import chain_graph, check_embedding, grid_graph, make_region, split_pairs
 from .operators import hamiltonian, spectral_data
 
@@ -191,7 +193,7 @@ def cmd_dl_check(args) -> int:
 
     T = detectability.layer_product(phi, region)
     # one g for the run, on the projector-form terms that T and DL(t) are built from
-    g_comm = commutation_degree(decomp.phi, support_only=bool(cfg.conservative_g))
+    g_comm = (support_overlap_degree if cfg.conservative_g else commutation_degree)(decomp.phi)
     rep = detectability.standard_dl_check(T, P_perp, lam, g_comm)
     flag = " (g=0 -> conservative g=1)" if rep.g_flagged else ""
     if cfg.conservative_g:
@@ -376,7 +378,7 @@ def cmd_coloring(args) -> int:
     phi = build_model(cfg, g)
     col = layer_coloring(phi)
     deg = commutation_degree(phi)
-    deg_sup = commutation_degree(phi, support_only=True)
+    deg_sup = support_overlap_degree(phi)
     print(f"layers L = {col.L} (terms per vertex {col.max_terms_per_vertex}, "
           f"shannon bound {col.shannon_bound})")
     for i, layer in enumerate(col.layers(), start=1):
@@ -398,8 +400,9 @@ def cmd_validate(args) -> int:
     if cfg.model or cfg.interaction_file:
         phi = build_model(cfg, g)
         validate(phi, g)
+        phi_max, phi_min = phi_bounds(phi)
         print(f"interaction: {len(phi.terms)} terms valid "
-              f"(phi_max {phi.phi_max:.6g}, phi_min {phi.phi_min:.6g}; "
+              f"(phi_max {phi_max:.6g}, phi_min {phi_min:.6g}; "
               f"bounds over materialized terms only)")
         region = make_region(g.ids)
         if phi.d ** len(region) <= cfg.dim_cap:

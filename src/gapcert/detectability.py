@@ -26,7 +26,6 @@ from .certification import pair_overlap_norm
 from .errors import AdmissibilityError, DimensionCapError, RegionError
 from .interaction import (
     Interaction,
-    LayerColoring,
     commutation_degree,
     layer_coloring,
     reduce_to_projectors,
@@ -118,9 +117,7 @@ def column_decomposition(
     dim = phi.d ** len(region)
     if dim > DL_DIM_CAP:
         raise DimensionCapError(f"region too large for the DL path: {dim} > {DL_DIM_CAP}")
-    phi_proj = reduce_to_projectors(
-        Interaction(phi.terms_within(region), R=phi.R, d=phi.d)
-    )
+    phi_proj = reduce_to_projectors(phi.within(region))
     coords = np.array([g.coord(v)[alpha] for v in region])
     extent = (float(coords.min()), float(coords.max()))
     even, odd = index_sets(t, extent)
@@ -207,12 +204,10 @@ class LayerProduct(OperatorChain):
 def layer_product(phi: Interaction, region: Region) -> LayerProduct:
     """Assemble the layered product of term-complement projectors on a region."""
     region = make_region(region)
-    contained = phi.terms_within(region)
-    if contained:
-        phi_proj = reduce_to_projectors(Interaction(contained, R=phi.R, d=phi.d))
-    else:
-        phi_proj = Interaction([], R=phi.R, d=phi.d)
-    coloring = layer_coloring(phi_proj) if phi_proj.terms else LayerColoring(1, {}, 0, 0)
+    phi_proj = phi.within(region)
+    if phi_proj.terms:
+        phi_proj = reduce_to_projectors(phi_proj)
+    coloring = layer_coloring(phi_proj)
     layers: list[list] = [[] for _ in range(coloring.L)]
     for idx, layer in coloring.assignment.items():
         term = phi_proj.terms[idx]

@@ -1,5 +1,11 @@
 """Finite-range interactions: projector reduction, norm bounds, layer coloring,
-and the commutation degree used by detectability-lemma estimates."""
+and the commutation degree used by detectability-lemma estimates.
+
+Every per-term fact lives on InteractionTerm: a term is checked Hermitian
+when it is made, and its one eigendecomposition (levels, vectors, norm) is
+computed on first read and shared by the zero test, the PSD check, the norm
+bounds and the projector reduction.
+"""
 
 from __future__ import annotations
 
@@ -18,51 +24,73 @@ KERNEL_REL = 1e-9
 COMMUTATOR_TOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InteractionTerm:
-    """One PSD term with its support region; matrix dim is d^len(support)."""
+    """One PSD term with its support region; matrix dim is d^len(support).
+
+    A square matrix that is not Hermitian is rejected here; the shape is
+    checked against d by Interaction.  Frozen, so the cached spectrum
+    cannot drift from the matrix.
+    """
 
     support: Region
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.support = make_region(self.support)
-        self.matrix = np.asarray(self.matrix)
+        m = np.asarray(self.matrix)
+        object.__setattr__(self, "support", make_region(self.support))
+        object.__setattr__(self, "matrix", m)
+        if m.ndim == 2 and m.shape[0] == m.shape[1] and (
+            np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(m))
+        ):
+            raise InteractionError(f"term on {self.support}: matrix is not Hermitian")
 
     def local_dim(self, d: int) -> int:
         return d ** len(self.support)
 
     @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Levels (ascending) and eigenvectors: the term's one eigh, on first read."""
+        return np.linalg.eigh(self.matrix)
+
+    @property
+    def norm(self) -> float:
+        """Operator norm, read off the levels."""
+        w = self.spectrum[0]
+        return float(max(-w[0], w[-1]))
+
+    def check_psd(self) -> None:
+        """InteractionError when a level is below -PSD_TOL * max(1, ||term||)."""
+        w = self.spectrum[0]
+        if w[0] < -PSD_TOL * max(1.0, self.norm):
+            raise InteractionError(f"term on {self.support}: negative eigenvalue {w[0]:.3e}")
+
+    @functools.cached_property
     def _range_projector(self) -> InteractionTerm | None:
         """The projector onto the range, on the same support (see
         reduce_to_projectors); None for a term with no level above
-        KERNEL_REL * ||term||.  Computed on first read."""
-        _check_hermitian(self.matrix, f"term on {self.support}")
-        w, v = np.linalg.eigh(self.matrix)
-        norm = float(abs(w).max()) if w.size else 0.0
-        if norm == 0.0:
+        KERNEL_REL * ||term||.  Computed on first read; its spectrum is
+        this term's eigenvectors with levels 0 and 1, not solved again."""
+        if self.norm == 0.0:
             return None
-        if w.min() < -PSD_TOL * max(1.0, norm):
-            raise InteractionError(
-                f"term on {self.support}: negative eigenvalue {w.min():.3e}"
-            )
-        keep = w > KERNEL_REL * norm
+        self.check_psd()
+        w, v = self.spectrum
+        keep = w > KERNEL_REL * self.norm
         if not keep.any():
             return None
         V = v[:, keep]
         proj = V @ V.conj().T
         if not np.iscomplexobj(self.matrix):
             proj = proj.real
-        return InteractionTerm(self.support, proj)
+        out = InteractionTerm(self.support, proj)
+        # ascending: the kept levels are the top ones
+        object.__setattr__(out, "spectrum", (keep.astype(float), v))
+        return out
 
 
 @dataclass(eq=False)
 class Interaction:
-    """A finite list of terms with range R and local dimension d.
-
-    phi_max and phi_min (see phi_bounds; 0 when every term is zero) are
-    computed when first read.
-    """
+    """A finite list of terms with range R and local dimension d."""
 
     terms: list[InteractionTerm]
     R: float
@@ -77,51 +105,28 @@ class Interaction:
                     f"term on {term.support}: matrix shape {term.matrix.shape} "
                     f"does not match d^{len(term.support)}"
                 )
-            _check_hermitian(term.matrix, f"term on {term.support}")
-
-    @functools.cached_property
-    def _bounds(self) -> tuple[float, float]:
-        return phi_bounds(self) if self.nonzero_terms() else (0.0, 0.0)
-
-    @property
-    def phi_max(self) -> float:
-        return self._bounds[0]
-
-    @property
-    def phi_min(self) -> float:
-        return self._bounds[1]
 
     def nonzero_terms(self) -> list[InteractionTerm]:
-        return [t for t in self.terms if np.linalg.norm(t.matrix) > 0]
+        return [t for t in self.terms if t.norm > 0]
 
     def terms_within(self, region: Region) -> list[InteractionTerm]:
         rset = set(region)
         return [t for t in self.terms if set(t.support) <= rset]
 
-
-def _check_hermitian(m: np.ndarray, what: str) -> None:
-    if np.linalg.norm(m - m.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
-        raise InteractionError(f"{what}: matrix is not Hermitian")
+    def within(self, region: Region) -> Interaction:
+        """The interaction of the terms supported inside region."""
+        return Interaction(self.terms_within(region), R=self.R, d=self.d)
 
 
 def phi_bounds(phi: Interaction) -> tuple[float, float]:
     """Largest operator norm and smallest nonzero eigenvalue over the terms."""
     top = 0.0
     bottom = np.inf
-    any_nonzero = False
-    for term in phi.terms:
-        _check_hermitian(term.matrix, f"term on {term.support}")
-        w = np.linalg.eigvalsh(term.matrix)
-        norm = float(abs(w).max()) if w.size else 0.0
-        if norm == 0.0:
-            continue
-        any_nonzero = True
+    for term in phi.nonzero_terms():
+        w, norm = term.spectrum[0], term.norm
         top = max(top, norm)
-        nonzero = w[w > KERNEL_REL * norm]
-        if nonzero.size == 0:
-            continue
-        bottom = min(bottom, float(nonzero.min()))
-    if not any_nonzero:
+        bottom = min(bottom, float(w.min(where=w > KERNEL_REL * norm, initial=np.inf)))
+    if top == 0.0:
         raise InteractionError("empty interaction: all terms are zero")
     return top, bottom
 
@@ -129,17 +134,15 @@ def phi_bounds(phi: Interaction) -> tuple[float, float]:
 def validate(phi: Interaction, graph: EmbeddedGraph | None = None) -> None:
     """Raise InteractionError on any violated term invariant.
 
-    Checks Hermiticity, positive semi-definiteness, and (when a graph is
-    supplied) that each support has hop diameter at most R.
+    Checks positive semi-definiteness (Hermiticity is checked when a term is
+    made) and, when a graph is supplied, that each support has hop diameter
+    at most R.
     """
-    for term in phi.nonzero_terms():
-        _check_hermitian(term.matrix, f"term on {term.support}")
-        w = np.linalg.eigvalsh(term.matrix)
-        norm = float(abs(w).max())
-        if w.min() < -PSD_TOL * max(1.0, norm):
-            raise InteractionError(
-                f"term on {term.support}: negative eigenvalue {w.min():.3e}"
-            )
+    terms = phi.nonzero_terms()
+    if not terms:
+        raise InteractionError("empty interaction: all terms are zero")
+    for term in terms:
+        term.check_psd()
         if graph is not None:
             diam = max(
                 graph_distance(graph, i, j) for i in term.support for j in term.support
@@ -148,16 +151,14 @@ def validate(phi: Interaction, graph: EmbeddedGraph | None = None) -> None:
                 raise InteractionError(
                     f"term on {term.support}: diameter {diam} exceeds range {phi.R}"
                 )
-    if not phi.nonzero_terms():
-        raise InteractionError("empty interaction: all terms are zero")
 
 
 def reduce_to_projectors(phi: Interaction) -> Interaction:
     """Replace every term by the orthogonal projector onto its range.
 
     Eigenvalues at or below KERNEL_REL * ||term|| are treated as kernel;
-    zero terms are dropped.  The result has phi_max == phi_min == 1.  Each
-    term's projector is computed once and shared by every later reduction.
+    zero terms are dropped.  The result has phi_bounds (1, 1).  Each term's
+    projector is computed once and shared by every later reduction.
     """
     new_terms = [p for p in (term._range_projector for term in phi.terms) if p is not None]
     if not new_terms:
@@ -187,7 +188,7 @@ def layer_coloring(phi: Interaction) -> LayerColoring:
         range(len(phi.terms)),
         key=lambda i: (min(phi.terms[i].support, default=-1), len(phi.terms[i].support)),
     )
-    order = [i for i in order if np.linalg.norm(phi.terms[i].matrix) > 0]
+    order = [i for i in order if phi.terms[i].norm > 0]
     assignment: dict[int, int] = {}
     layer_supports: list[set[int]] = []
     for idx in order:
@@ -235,16 +236,14 @@ def _dense_on(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> 
     return full.transpose(inverse + [n + q for q in inverse]).reshape(d ** n, d ** n)
 
 
-def commutation_degree(phi: Interaction, support_only: bool = False) -> int:
+def commutation_degree(phi: Interaction) -> int:
     """Max number of other terms a term fails to commute with.
 
     Pairs with disjoint supports commute exactly; overlapping pairs are
     embedded densely into their joint support and the 2-norm of the
-    commutator compared to COMMUTATOR_TOL.  `support_only` switches to the
-    cheap overlap count.
+    commutator compared to COMMUTATOR_TOL.  support_overlap_degree is the
+    cheap bound.
     """
-    if support_only:
-        return support_overlap_degree(phi)
     terms = phi.nonzero_terms()
     noncommuting = [0] * len(terms)
     for i in range(len(terms)):

@@ -111,14 +111,10 @@ def hamiltonian(
     if not region:
         raise RegionError("empty region")
     check_dimension(phi.d, region, cap)
-    source = phi
-    if projector_form:
-        contained = phi.terms_within(region)
-        if contained:
-            source = reduce_to_projectors(
-                Interaction(contained, R=phi.R, d=phi.d)
-            )
-    blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms_within(region)]
+    source = phi.within(region)
+    if projector_form and source.terms:
+        source = reduce_to_projectors(source)
+    blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms]
     return GlobalOperator(region, phi.d, blocks)
 
 
@@ -350,7 +346,7 @@ class SandwichReport:
 
 def sandwich_check(phi: Interaction, region: Region) -> SandwichReport:
     """Verify phi_min * gap(projected H) <= gap(H) <= phi_max * gap(projected H)."""
-    pmax, pmin = phi_bounds(Interaction(phi.terms_within(region), R=phi.R, d=phi.d))
+    pmax, pmin = phi_bounds(phi.within(region))
     raw = spectral_data(hamiltonian(phi, region))
     projected = spectral_data(hamiltonian(phi, region, projector_form=True))
     if raw.gap is None or projected.gap is None:

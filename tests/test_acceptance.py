@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from gapcert import operators
 from gapcert._tensor import FactoredProjectorBlock
@@ -25,10 +24,8 @@ from gapcert.detectability import (
     ChebyshevStep,
     check_commuting,
     column_decomposition,
-    dl_operator,
     layer_product,
     overlap_bound_check,
-    refined_dl_bound,
     smuggle_check,
     standard_dl_check,
 )

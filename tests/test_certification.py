@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapcert.certification import (
-    Certificate,
-    GapEntry,
     GapSequence,
     ScalingHypothesis,
     certify,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,8 @@ class TestReduceToProjectors:
             reduce_to_projectors(Interaction([term], R=0.0, d=2))
 
     def test_each_term_projected_once(self, monkeypatch):
-        phi = heisenberg_fm(chain_graph(4))
+        g = chain_graph(4)
+        phi = heisenberg_fm(g)
         real = np.linalg.eigh
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
@@ -65,6 +68,15 @@ class TestReduceToProjectors:
         again = reduce_to_projectors(Interaction(phi.terms[1:], R=1.0, d=2))
         assert len(calls) == 3
         assert again.terms == first.terms[1:]
+        # every other per-term question reads the same decomposition, and a
+        # projector term reads its parent's: one eigh per term in all
+        for interaction in (phi, first):
+            phi_bounds(interaction)
+            validate(interaction, g)
+            layer_coloring(interaction)
+            support_overlap_degree(interaction)
+        reduce_to_projectors(first)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize(
         "matrix, message",
@@ -84,8 +96,7 @@ class TestReduceToProjectors:
         m = red.terms[0].matrix
         assert np.linalg.norm(m @ m - m, 2) <= 1e-10
         assert np.linalg.norm(m - m.conj().T, 2) <= 1e-12
-        assert red.phi_max == pytest.approx(1.0)
-        assert red.phi_min == pytest.approx(1.0)
+        assert phi_bounds(red) == (pytest.approx(1.0), pytest.approx(1.0))
 
 
 class TestPhiBounds:
@@ -180,9 +191,9 @@ class TestCommutationDegree:
         for phi in (heisenberg_fm(chain_graph(7)), heisenberg_fm(grid_graph(3, 3)), commuting_toy(8)):
             assert commutation_degree(phi) <= support_overlap_degree(phi)
 
-    def test_support_only_switch(self):
+    def test_support_overlap_degree(self):
         toy = commuting_toy(8)
-        assert commutation_degree(toy, support_only=True) == 2
+        assert support_overlap_degree(toy) == 2
 
 
 class TestValidate:
@@ -201,3 +212,22 @@ class TestValidate:
         m[0, 1] = 1.0
         with pytest.raises(InteractionError, match="Hermitian"):
             validate(Interaction([InteractionTerm((0, 1), m)], R=1.0, d=2))
+
+    def test_checked_where_the_term_is_made(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = 1.0
+        with pytest.raises(InteractionError, match=r"term on \(0, 1\): matrix is not Hermitian"):
+            InteractionTerm((0, 1), m)
+
+    def test_term_is_frozen(self):
+        # its spectrum is cached on first read, so the matrix must not move
+        # away from it
+        term = InteractionTerm((0,), np.diag([0.0, 1.0]))
+        assert term.norm == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            term.matrix = 2 * term.matrix
+
+    def test_non_square_matrix_gets_the_shape_error(self):
+        term = InteractionTerm((0,), np.zeros((2, 3)))
+        with pytest.raises(InteractionError, match=r"matrix shape \(2, 3\) does not match d\^1"):
+            Interaction([term], R=0.0, d=2)

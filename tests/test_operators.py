@@ -599,6 +599,25 @@ class TestNotPositiveSemidefinite:
         with pytest.raises(InteractionError, match="not positive semidefinite"):
             spectral_data(H)
 
+    @pytest.mark.parametrize("solver", ["diagonal", "dense"])
+    def test_levels_of_passing_terms_sum_below_the_tolerance(self, solver):
+        # each term's lowest level -0.99e-10 is within PSD_TOL, so every term
+        # passes the term check; summed on a common eigenvector they put a
+        # level of H below minus the kernel tolerance 1e-9 (||H|| <= 1), which
+        # only the solve's check of the levels catches
+        if solver == "diagonal":  # twelve single-site terms diag(-0.99e-10, 1/12)
+            h, sites, lowest = np.diag([-0.99e-10, 1 / 12]), list(range(12)), "-1.188e-09"
+        else:  # eleven rotated terms on 9 sites: not diagonal, dim 512
+            c, s = np.cos(0.3), np.sin(0.3)
+            rot = np.array([[c, -s], [s, c]])
+            h = rot @ np.diag([-0.99e-10, 1 / 11]) @ rot.T
+            h, sites, lowest = (h + h.T) / 2, list(range(9)) + [0, 1], "-1.089e-09"
+        terms = [InteractionTerm((i,), h) for i in sites]
+        H = hamiltonian(Interaction(terms, R=0.0, d=2), tuple(range(max(sites) + 1)))
+        assert (H.dim <= DENSE_CAP) == (solver == "dense")
+        with pytest.raises(InteractionError, match=rf"not positive semidefinite \(lowest level {lowest}\)"):
+            spectral_data(H)
+
 
 class TestGroundProjector:
     def test_zero_operator_gives_identity(self):

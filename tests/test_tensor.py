@@ -170,6 +170,19 @@ def test_fused_diagonal_runs_match_unfused_bit_for_bit():
     assert np.array_equal(chain.rmatvec(x), z)
 
 
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_one_hot_block_materializes_the_diagonal_it_applies(complement, sparse):
+    # a complex one-hot basis on factors (0, 2) of 3: to_dense is the
+    # diagonal that matvec multiplies by, bit for bit, for every phase
+    n, d = 3, 2
+    ones = np.ones(d ** n)
+    for phase in np.exp(2j * np.pi * np.random.default_rng(5).random(100)):
+        V = sp.csc_matrix(([phase, phase], ([1, 2], [0, 1])), shape=(d ** 2, 2))
+        f = FactoredProjectorBlock(V if sparse else V.toarray(), (0, 2), n, d, complement=complement)
+        assert np.array_equal(f.to_dense(), np.diag(f.matvec(ones)))
+
+
 def test_fused_run_reads_the_complemented_diagonal():
     # a one-hot complement between two diagonal blocks, all within
     # MATERIALIZE_CAP: one fused run, whose diagonal must be 1 - |v|^2
