@@ -96,14 +96,14 @@ def measure_delta_k(
     k: int,
     s: int,
     dim_cap: int = DEFAULT_DIM_CAP,
-    max_pairs: int | None = None,
     axis_perms: bool = False,
 ) -> DeltaMeasurement:
     """Measure delta_k = max over split pairs of || P_A P_B - P_{A u B} ||.
 
     Pairs come from slab splits of every scale-k window materialized on the
-    graph that does not already fit at scale k-1.  When max_pairs truncates the family, or
-    a window is skipped by dim_cap or a failed split, the result is flagged
+    graph that does not already fit at scale k-1.  A window with no nonzero
+    term is passed over, as its ground projector is the identity.  When a
+    window is skipped by dim_cap or a failed split, the result is flagged
     as a sampled lower estimate of the sup (exhaustive=False).
     """
     values: list[float] = []
@@ -123,20 +123,14 @@ def measure_delta_k(
             skipped += 1
             split_failed += 1
             continue
-        if not phi.terms_within(Y):
+        if not phi.within(Y).nonzero_terms():
             continue
         regions += 1
         max_size = max(max_size, len(Y))
         sd = spectral_data(hamiltonian(phi, Y, projector_form=True), with_basis=True)
         if sd.gap is not None:
             gap_min = sd.gap if gap_min is None else min(gap_min, sd.gap)
-        for pair in pairs:
-            if max_pairs is not None and len(values) >= max_pairs:
-                return DeltaMeasurement(
-                    k, max(values), regions, len(values), skipped, False,
-                    gap_min, max_size, phi.d ** max_size,
-                )
-            values.append(pair_overlap_norm(phi, pair, region_solve=sd))
+        values += [pair_overlap_norm(phi, pair, region_solve=sd) for pair in pairs]
     if not values:
         raise CertificationError(
             f"no split pairs could be generated at scale k = {k}: {skipped - split_failed} windows "

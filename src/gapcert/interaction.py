@@ -4,7 +4,7 @@ and the commutation degree used by detectability-lemma estimates.
 Every per-term fact lives on InteractionTerm: a term is checked Hermitian
 when it is made, and its one eigendecomposition (levels, vectors, norm) is
 computed on first read and shared by the zero test, the PSD check, the norm
-bounds and the projector reduction.
+bounds, the projector reduction and the region solve.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tensor import embed_sum
 from .errors import InteractionError
 from .lattice import EmbeddedGraph, Region, graph_distance, make_region
 
@@ -59,11 +60,15 @@ class InteractionTerm:
         w = self.spectrum[0]
         return float(max(-w[0], w[-1]))
 
+    @property
+    def is_psd(self) -> bool:
+        """No level below -PSD_TOL * max(1, ||term||)."""
+        return self.spectrum[0][0] >= -PSD_TOL * max(1.0, self.norm)
+
     def check_psd(self) -> None:
-        """InteractionError when a level is below -PSD_TOL * max(1, ||term||)."""
-        w = self.spectrum[0]
-        if w[0] < -PSD_TOL * max(1.0, self.norm):
-            raise InteractionError(f"term on {self.support}: negative eigenvalue {w[0]:.3e}")
+        """InteractionError when the term is not PSD (is_psd)."""
+        if not self.is_psd:
+            raise InteractionError(f"term on {self.support}: negative eigenvalue {self.spectrum[0][0]:.3e}")
 
     @functools.cached_property
     def _range_projector(self) -> InteractionTerm | None:
@@ -228,21 +233,13 @@ def support_overlap_degree(phi: Interaction) -> int:
     return best
 
 
-def _dense_on(block: np.ndarray, positions: tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """block on the given factors of n, identity on the rest, as a dense matrix."""
-    order = list(positions) + [p for p in range(n) if p not in positions]
-    full = np.kron(block, np.eye(d ** (n - len(positions)))).reshape((d,) * (2 * n))
-    inverse = list(np.argsort(order))
-    return full.transpose(inverse + [n + q for q in inverse]).reshape(d ** n, d ** n)
-
-
 def commutation_degree(phi: Interaction) -> int:
     """Max number of other terms a term fails to commute with.
 
     Pairs with disjoint supports commute exactly; overlapping pairs are
-    embedded densely into their joint support and the 2-norm of the
-    commutator compared to COMMUTATOR_TOL.  support_overlap_degree is the
-    cheap bound.
+    embedded into their joint support (embed_sum, as a dense matrix) and
+    the 2-norm of the commutator compared to COMMUTATOR_TOL.
+    support_overlap_degree is the cheap bound.
     """
     terms = phi.nonzero_terms()
     noncommuting = [0] * len(terms)
@@ -252,11 +249,10 @@ def commutation_degree(phi: Interaction) -> int:
             if not (si & sj):
                 continue
             joint = make_region(si | sj)
-            n = len(joint)
-            pos_i = tuple(joint.index(v) for v in terms[i].support)
-            pos_j = tuple(joint.index(v) for v in terms[j].support)
-            a = _dense_on(terms[i].matrix, pos_i, n, phi.d)
-            b = _dense_on(terms[j].matrix, pos_j, n, phi.d)
+            a, b = (
+                embed_sum([(t.matrix, tuple(map(joint.index, t.support)))], len(joint), phi.d).toarray()
+                for t in (terms[i], terms[j])
+            )
             comm = a @ b - b @ a
             if np.linalg.norm(comm, 2) > COMMUTATOR_TOL:
                 noncommuting[i] += 1

@@ -111,11 +111,11 @@ def random_low_rank(
     )
 
 
-def spin_wave_upper_bound(n: int, mode: int = 1) -> float:
+def spin_wave_upper_bound(n: int) -> float:
     """Variational upper bound on the ferromagnetic chain gap.
 
     Uses the standing-wave one-magnon trial state with open-chain profile
-    cos(pi * mode * (j + 1/2) / n), projected orthogonal to the ground
+    cos(pi (j + 1/2) / n), projected orthogonal to the ground
     space, and returns its Rayleigh quotient.
     """
     if n < 2:
@@ -127,15 +127,12 @@ def spin_wave_upper_bound(n: int, mode: int = 1) -> float:
     flip = [2 ** (n - 1 - j) for j in range(n)]
     psi = np.zeros(dim)
     for j in range(n):
-        psi[flip[j]] = np.cos(np.pi * mode * (j + 0.5) / n)
+        psi[flip[j]] = np.cos(np.pi * (j + 0.5) / n)
     uniform = np.zeros(dim)
     for j in range(n):
         uniform[flip[j]] = 1.0
     uniform /= np.linalg.norm(uniform)
     # the uniform one-magnon state is the only kernel component in this sector
     psi = psi - uniform * (uniform @ psi)
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-14:
-        raise ValueError("trial state collapsed onto the ground space")
-    psi /= nrm
+    psi /= np.linalg.norm(psi)
     return float(np.real(psi @ (H @ psi)))

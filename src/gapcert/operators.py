@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,7 +28,7 @@ from ._tensor import (
     zero_off_diagonal,
 )
 from .errors import DimensionCapError, EigensolverError, InteractionError, RegionError
-from .interaction import PSD_TOL, Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
+from .interaction import Interaction, InteractionTerm, phi_bounds, reduce_to_projectors
 from .lattice import Region, make_region
 
 DENSE_CAP = 512
@@ -43,27 +43,33 @@ SANDWICH_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class GlobalOperator:
     """Hermitian operator on the d^len(region) space of a region, the sum of
-    its terms: the (block, positions) pairs that hamiltonian() and embed()
-    build, each block a d^m x d^m array on m factor positions.
+    its InteractionTerms, each the identity off its support.
 
-    Its matrix is the canonical CSR of their embedded sum (embed_sum), built
-    on first read: the region solve reads the terms, and a diagonal H is
-    solved from them and never assembled.  Frozen, and the terms kept as a
-    tuple, so the matrix cannot drift from the terms.
+    The terms' factor positions are worked out once, when it is made, into
+    blocks, the (matrix, positions) pairs of _tensor; a support outside the
+    region is a RegionError.  Its matrix is the canonical CSR of their
+    embedded sum (embed_sum), built on first read: the region solve reads
+    the terms, and a diagonal H is solved from them and never assembled.
+    Frozen, and the terms kept as a tuple, so the matrix cannot drift from
+    the terms.
     """
 
     region: Region
     d: int
-    terms: tuple
+    terms: tuple[InteractionTerm, ...]
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "region", make_region(self.region))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        region = make_region(self.region)
+        terms = tuple(self.terms)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "blocks", tuple((t.matrix, _positions(t.support, region)) for t in terms))
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         """The CSR of the terms, built on first read."""
-        return embed_sum(self.terms, len(self.region), self.d)
+        return embed_sum(self.blocks, len(self.region), self.d)
 
     @property
     def dim(self) -> int:
@@ -82,8 +88,7 @@ def _positions(support: Region, region: Region) -> tuple[int, ...]:
 
 def embed(term: InteractionTerm, region: Region, d: int) -> GlobalOperator:
     """Kronecker embedding of a term into a region: term on its factors, id elsewhere."""
-    region = make_region(region)
-    return GlobalOperator(region, d, [(term.matrix, _positions(term.support, region))])
+    return GlobalOperator(region, d, [term])
 
 
 def check_dimension(d: int, region, cap: int = SPARSE_CAP) -> int:
@@ -114,8 +119,7 @@ def hamiltonian(
     source = phi.within(region)
     if projector_form and source.terms:
         source = reduce_to_projectors(source)
-    blocks = [(t.matrix, _positions(t.support, region)) for t in source.terms]
-    return GlobalOperator(region, phi.d, blocks)
+    return GlobalOperator(region, phi.d, source.terms)
 
 
 @dataclass
@@ -213,30 +217,22 @@ def _dense_solve(mat, with_basis: bool) -> SpectralData:
     return _from_levels(w, tol, "dense", None if v is None else v[:, w <= tol])
 
 
-def _term_norms(terms) -> list[float]:
-    """||h|| of each (block, positions) term, which must be PSD: only then
-    is ker H the intersection of the terms' kernels."""
-    norms = []
-    for block, positions in terms:
-        w = sla.eigvalsh(block)
-        norms.append(float(np.abs(w).max()))
-        if w[0] < -PSD_TOL * max(1.0, norms[-1]):
-            raise _not_psd(f"term on factors {tuple(positions)}: level {w[0]:.6g}")
-    return norms
-
-
 def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
     # the body of spectral_data; kernel_basis calls it directly, so that each
     # solve passes through exactly one public entry point.  DENSE_CAP is read
     # at call time, so that tests can move the crossover by patching it
+    for term, (_, positions) in zip(H.terms, H.blocks):
+        # only for PSD terms is ker H the intersection of the terms' kernels
+        if not term.is_psd:
+            raise _not_psd(f"term on factors {positions}: level {term.spectrum[0][0]:.6g}")
     dim = H.dim
-    norms = _term_norms(H.terms)
-    if all(zero_off_diagonal(block) for block, _ in H.terms):
-        return _diagonal_solve(diagonal_sum(H.terms, len(H.region), H.d).reshape(-1))
+    if all(zero_off_diagonal(block) for block, _ in H.blocks):
+        return _diagonal_solve(diagonal_sum(H.blocks, len(H.region), H.d).reshape(-1))
     mat = H.matrix
     if dim <= DENSE_CAP:
         return _dense_solve(mat, with_basis)
-    tol = _kernel_tol(float(sum(norms)))
+    bound = float(sum(t.norm for t in H.terms))
+    tol = _kernel_tol(bound)
     V = _grown_kernel(H, mat, tol)
     if V is None:
         if dim <= 2 * DENSE_CAP:
@@ -244,7 +240,7 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
         raise EigensolverError(f"eigensolver failed: kernel larger than {MAX_KERNEL}")
     if V.shape[1] == dim:  # every level within the tolerance
         return SpectralData(dim, None, "sparse", V)
-    # the terms are PSD (_term_norms) and sum to mat, so H is PSD, its lowest
+    # the terms are PSD (checked above) and sum to mat, so H is PSD, its lowest
     # level on ran(V)^perp is the gap, and the sum of their norms bounds ||H||
     Vf = np.asfortranarray(V)  # gemv takes Fortran order; copy once, not per call
     gemv = sla.get_blas_funcs("gemv", dtype=np.result_type(mat.dtype, Vf.dtype))
@@ -253,7 +249,7 @@ def _region_solve(H: GlobalOperator, with_basis: bool) -> SpectralData:
         return x - gemv(1.0, Vf, gemv(1.0, Vf, x, trans=2)) if Vf.shape[1] else x
 
     v0 = np.random.default_rng(SOLVER_SEED).standard_normal(dim)
-    gap, _ = lanczos(mat.dot, v0, lambda _: tol, float(sum(norms)), deflate, subject="the gap")
+    gap, _ = lanczos(mat.dot, v0, lambda _: tol, bound, deflate, subject="the gap")
     if gap <= tol:
         raise EigensolverError("eigensolver failed: kernel level outside the kernel basis")
     return SpectralData(V.shape[1], float(gap), "sparse", V)
@@ -274,7 +270,7 @@ def _grown_kernel(H: GlobalOperator, mat, tol: float):
     """
     n, d, dtype = len(H.region), H.d, mat.dtype
     arriving = [[] for _ in range(n)]
-    for block, positions in H.terms:
+    for block, positions in H.blocks:
         arriving[max(positions, default=0)].append((np.asarray(block, dtype=dtype), positions))
     gemm, nrm2 = sla.get_blas_funcs(("gemm", "nrm2"), dtype=dtype)
     V = np.eye(d, dtype=dtype, order="F")

@@ -103,12 +103,6 @@ class TestMeasureDelta:
         assert dm.regions_tested == 1
         assert dm.gap_min == pytest.approx(1.0 - np.cos(np.pi / 13.0), rel=1e-9)
 
-    def test_sampling_flag(self):
-        g = chain_graph(19)
-        dm = measure_delta_k(commuting_toy(g), g, 6, 1, dim_cap=2 ** 19, max_pairs=3)
-        assert not dm.exhaustive
-        assert dm.pairs_tested == 3
-
     def test_skipped_windows_not_exhaustive(self):
         g = chain_graph(16)
         dm = measure_delta_k(commuting_toy(g), g, 6, 1, dim_cap=2 ** 13)

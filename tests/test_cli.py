@@ -225,6 +225,21 @@ class TestCertifyCommand:
         header, row = csv.read_text().splitlines()
         assert header.endswith(",sampled") and row.endswith(",1")
 
+    def test_window_of_zero_terms_is_passed_over(self, capsys, tmp_path):
+        # |11><11| on bonds 17 and 18 and zero matrices on the others: a
+        # window of zero terms has the identity as its ground projector, and
+        # is passed over as a window without terms is
+        one = np.diag([0.0, 0.0, 0.0, 1.0])
+        terms = [InteractionTerm((i, i + 1), one if i in (17, 18) else np.zeros((4, 4)))
+                 for i in range(19)]
+        path = tmp_path / "phi.txt"
+        path.write_text(format_interaction(Interaction(terms, R=1.0, d=2)))
+        code = run(["certify", "--length", "20", "--k-min", "6", "--k-max", "6", "--s", "1",
+                    "--interaction-file", str(path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_CODES["not_certifiable"]
+        assert "delta_k=0.000000" in out and "pairs=2 " in out
+
     def test_empty_k_range_usage_error(self, capsys):
         code = run(
             ["certify", "--model", "commuting_toy", "--length", "12",

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gapcert import operators
 from gapcert.errors import InteractionError
 from gapcert.interaction import (
     Interaction,
@@ -18,6 +20,13 @@ from gapcert.lattice import chain_graph, grid_graph
 from gapcert.models import commuting_toy, heisenberg_fm
 
 from conftest import singlet_4x4
+
+
+def _counted(real, calls, name):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return wrapper
 
 
 def edge_terms(matrix, n):
@@ -61,12 +70,13 @@ class TestReduceToProjectors:
     def test_each_term_projected_once(self, monkeypatch):
         g = chain_graph(4)
         phi = heisenberg_fm(g)
-        real = np.linalg.eigh
-        calls = []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for module, name in ((np.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, _counted(real, calls, name))
         first = reduce_to_projectors(phi)
         again = reduce_to_projectors(Interaction(phi.terms[1:], R=1.0, d=2))
-        assert len(calls) == 3
+        assert calls == {"eigh": 3, "eigvalsh": 0}
         assert again.terms == first.terms[1:]
         # every other per-term question reads the same decomposition, and a
         # projector term reads its parent's: one eigh per term in all
@@ -76,7 +86,19 @@ class TestReduceToProjectors:
             layer_coloring(interaction)
             support_overlap_degree(interaction)
         reduce_to_projectors(first)
-        assert len(calls) == 3
+        assert calls == {"eigh": 3, "eigvalsh": 0}
+        # the region solves read each term's norm and PSD check off it too,
+        # on the dense and the sparse path (dim 16), and on the diagonal one
+        toy = commuting_toy(chain_graph(4))
+        reduce_to_projectors(toy)
+        assert calls == {"eigh": 6, "eigvalsh": 0}
+        cases = [(operators.DENSE_CAP, phi, "dense"), (operators.DENSE_CAP, first, "dense"),
+                 (8, phi, "sparse"), (8, first, "sparse"), (8, toy, "diagonal")]
+        for dense_cap, interaction, solver in cases:
+            monkeypatch.setattr(operators, "DENSE_CAP", dense_cap)
+            H = operators.hamiltonian(interaction, tuple(range(4)))
+            assert operators.spectral_data(H).solver == solver
+        assert calls == {"eigh": 6, "eigvalsh": 0}
 
     @pytest.mark.parametrize(
         "matrix, message",

@@ -201,7 +201,7 @@ def test_hamiltonian_matches_sum_of_dense_embeddings(case):
 
 def _whole(M, n, d=2):
     """M as the one term of an operator on the whole region of n sites."""
-    return GlobalOperator(tuple(range(n)), d, [(M, tuple(range(n)))])
+    return GlobalOperator(tuple(range(n)), d, [InteractionTerm(tuple(range(n)), M)])
 
 
 def _ground_projector(H):
