@@ -36,35 +36,20 @@ def recursion_step(gap_F: float, delta: float, s: float) -> float:
     return (1.0 - delta) / (1.0 + 1.0 / s) * gap_F
 
 
-def pair_overlap_norm(
-    phi: Interaction,
-    pair: SplitPair,
-    region_solve: SpectralData | None = None,
-    projectors: tuple | None = None,
-) -> float:
+def pair_overlap_norm(phi: Interaction, pair: SplitPair, region_solve: SpectralData) -> float:
     """|| P_A P_B - P_{A u B} || for one split pair, matrix-free.
 
     The one construction of this norm: delta_k and the left end of the
     detectability overlap chain both read it.  region_solve is the solve of
-    the projector-form Hamiltonian on pair.Y with its kernel basis, and
-    projectors the ground projectors (P_A, P_B) embedded in pair.Y, when
-    the caller already has them.
+    the projector-form Hamiltonian on pair.Y with its kernel basis; the
+    ground projectors P_A and P_B are built here.
     """
     region = make_region(pair.Y)
     n = len(region)
-    if projectors is None:
-        phi_proj = reduce_to_projectors(phi.within(region))
-        projectors = tuple(
-            embedded_kernel_projector(phi_proj, X, region, phi.d)
-            for X in (pair.A, pair.B)
-        )
-    if region_solve is None:
-        region_solve = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
-    diff = Difference(
-        OperatorChain(list(projectors), phi.d ** n),
-        FactoredProjectorBlock(region_solve.kernel(), tuple(range(n)), n, phi.d),
-    )
-    return matfree_norm(diff)
+    phi_proj = reduce_to_projectors(phi.within(region))
+    P_A, P_B = (embedded_kernel_projector(phi_proj, X, region, phi.d) for X in (pair.A, pair.B))
+    P_Y = FactoredProjectorBlock(region_solve.kernel(), tuple(range(n)), n, phi.d)
+    return matfree_norm(Difference(OperatorChain([P_A, P_B], phi.d ** n), P_Y))
 
 
 def region_fits_scale(g: EmbeddedGraph, region: Region, k: int) -> bool:
@@ -85,7 +70,7 @@ class DeltaMeasurement:
     pairs_tested: int
     skipped_regions: int
     exhaustive: bool
-    gap_min: float | None  # smallest measured region gap, for lambda_k use
+    gap_min: float  # smallest measured region gap, for lambda_k use
     max_region_size: int = 0
     max_hilbert_dim: int = 0
 
@@ -104,12 +89,13 @@ def measure_delta_k(
     graph that does not already fit at scale k-1.  A window with no nonzero
     term is passed over, as its ground projector is the identity.  When a
     window is skipped by dim_cap or a failed split, the result is flagged
-    as a sampled lower estimate of the sup (exhaustive=False).
+    as a sampled lower estimate of the sup (exhaustive=False).  A tested
+    window whose solve has no gap is a CertificationError.
     """
     values: list[float] = []
     skipped = split_failed = 0
     regions = 0
-    gap_min = None
+    gap_min = math.inf
     max_size = 0
     for fam, Y in enumerate_windows(g, k, axis_perms=axis_perms):
         if k >= 1 and region_fits_scale(g, Y, k - 1):
@@ -128,8 +114,9 @@ def measure_delta_k(
         regions += 1
         max_size = max(max_size, len(Y))
         sd = spectral_data(hamiltonian(phi, Y, projector_form=True), with_basis=True)
-        if sd.gap is not None:
-            gap_min = sd.gap if gap_min is None else min(gap_min, sd.gap)
+        if sd.gap is None:
+            raise CertificationError(f"window {Y} at scale k = {k} has no gap: its Hamiltonian is all kernel")
+        gap_min = min(gap_min, sd.gap)
         values += [pair_overlap_norm(phi, pair, region_solve=sd) for pair in pairs]
     if not values:
         raise CertificationError(

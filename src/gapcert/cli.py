@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import certification, detectability, fileio, models, operators
-from ._tensor import FactoredProjectorBlock, OperatorChain, matfree_norm
+from ._tensor import FactoredProjectorBlock, matfree_norm
 from .errors import (
     AdmissibilityError,
     CertificationError,
@@ -122,10 +122,11 @@ def _malformed(key: str, value, expected: str) -> ConfigError:
     return ConfigError(f"malformed {flag} (config key {key}) value '{value}': expected {expected}")
 
 
-def _parse_s_rule(rule: str | None):
-    """'const:2' -> s_k = 2; 'power:1.25' -> s_k = ceil(k^1.25)."""
+def _parse_s_rule(rule: str | None, s: int) -> tuple[float, float]:
+    """The rule s_k = a * k^b as (a, b): 'const:N' -> (N, 0), 'power:B' ->
+    (1, B), and no rule -> (s, 0)."""
     if rule is None:
-        return None, None
+        return float(s), 0.0
     kind, _, value = rule.partition(":")
     if kind not in ("const", "power"):
         raise ConfigError(f"unknown s rule: {rule}")
@@ -135,14 +136,7 @@ def _parse_s_rule(rule: str | None):
         x = math.nan
     if not math.isfinite(x):
         raise _malformed("s_rule", rule, "const:N or power:B")
-    if kind == "const":
-        return (lambda k: x), (float(x), 0.0)
-
-    def power(k):  # +inf where k^x overflows: the caller clips s_k to l_k / 8
-        s_k = certification.power_or_inf(k, x)
-        return max(1, math.ceil(s_k)) if s_k < math.inf else s_k
-
-    return power, (1.0, x)
+    return (float(x), 0.0) if kind == "const" else (1.0, x)
 
 
 def cmd_gap(args) -> int:
@@ -188,7 +182,7 @@ def cmd_dl_check(args) -> int:
     P_perp = FactoredProjectorBlock(sd.kernel(), tuple(range(n)), n, phi.d, complement=True)
     dl_norm = matfree_norm(dl)
     checks.append(("dl-norm<=1", dl_norm <= 1.0 + 1e-10, f"{dl_norm:.6f}"))
-    dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
+    dl_perp = detectability.dl_perp_norm(decomp, P_perp)
     payload["dl_perp"] = dl_perp
 
     T = detectability.layer_product(phi, region)
@@ -233,8 +227,9 @@ def cmd_dl_check(args) -> int:
         checks.append(
             ("pperp-sup-envelope", dl_perp <= sup_val + 1e-9, f"{dl_perp:.6f} <= {sup_val:.6f}")
         )
+    bound = None
     try:
-        bound = detectability.refined_dl_bound(t, lam, L, max(g_comm, 1), g.c_gamma, phi.R)
+        bound = detectability.refined_dl_bound(t, lam, L, rep.g_used, g.c_gamma, phi.R)
         payload["refined_bound"] = bound
         if bound < 1.0:
             checks.append(("refined-dl", dl_perp <= bound + 1e-9, f"{dl_perp:.6f} <= {bound:.6f}"))
@@ -244,27 +239,19 @@ def cmd_dl_check(args) -> int:
         checks.append(("refined-dl", True, f"inactive: {exc}"))
 
     if cfg.k_min is not None:
-        pairs = split_pairs(region, cfg.k_min, cfg.s, g)
-        for i, pair in enumerate(pairs):
-            # the battery's columns (and so its ||DL P_perp||) run along --alpha
-            same_axis = pair.alpha == decomp.alpha
-            orep = detectability.overlap_bound_check(
-                phi, g, pair, t, decomp=decomp if same_axis else None, region_solve=sd,
-                dl_perp=dl_perp if same_axis else None, g_comm=g_comm,
-            )
-            checks.append(
-                (
-                    f"overlap[{i}]",
-                    orep.ok,
-                    f"lhs {orep.lhs:.6f} <= mid {orep.mid:.6f}"
-                    + (f" <= rhs {orep.rhs:.6f}" if orep.rhs is not None else ""),
-                )
-            )
+        # the overlap rows share the region solve and the bound; a split along
+        # another axis than --alpha has its own columns and ||DL P_perp||
+        by_axis = {decomp.alpha: (decomp, dl_perp)}
+        for i, pair in enumerate(split_pairs(region, cfg.k_min, cfg.s, g)):
+            if pair.alpha not in by_axis:
+                other = detectability.column_decomposition(phi, g, region, t, alpha=pair.alpha)
+                by_axis[pair.alpha] = (other, detectability.dl_perp_norm(other, P_perp))
+            axis_decomp, axis_dl_perp = by_axis[pair.alpha]
+            orep = detectability.overlap_bound_check(axis_decomp, pair, g, sd, axis_dl_perp, bound)
+            rhs = f" <= rhs {orep.rhs:.6f}" if orep.rhs is not None else ""
+            checks.append((f"overlap[{i}]", orep.ok, f"lhs {orep.lhs:.6f} <= mid {orep.mid:.6f}{rhs}"))
             payload[f"overlap_{i}"] = {
-                "lhs": orep.lhs,
-                "mid": orep.mid,
-                "rhs": orep.rhs,
-                "admissible": orep.admissible,
+                "lhs": orep.lhs, "mid": orep.mid, "rhs": orep.rhs, "admissible": orep.admissible,
             }
 
     failed = [c for c in checks if not c[1]]
@@ -285,21 +272,20 @@ def cmd_certify(args) -> int:
     phi = build_model(cfg, g)
     if cfg.k_min is None or cfg.k_max is None or cfg.k_min > cfg.k_max:
         raise ConfigError("empty k range: need --k-min <= --k-max")
-    s_fn, s_rule = _parse_s_rule(cfg.s_rule)
-    if s_fn is None:
-        s_fn, s_rule = (lambda k: cfg.s), (float(cfg.s), 0.0)
+    a, b = _parse_s_rule(cfg.s_rule, cfg.s)
     phi_min = phi_bounds(phi)[1]
     rows = []
     entries = []
     measurements = []
     for k in range(cfg.k_min, cfg.k_max + 1):
-        # measurements need s_k within the admissible window for that scale
-        s_k = max(1, min(s_fn(k), int(certification.side_length(k, g.D) / 8.0)))
+        # s_k within the admissible window [1, l_k / 8]; a * k^b is +inf where it overflows
+        s_k = max(1, math.ceil(min(a * certification.power_or_inf(k, b),
+                                   int(certification.side_length(k, g.D) / 8.0))))
         dm = certification.measure_delta_k(
             phi, g, k, s_k, dim_cap=cfg.dim_cap, axis_perms=bool(cfg.axis_perms)
         )
         measurements.append(dm)
-        lam = min(dm.gap_min, 1.0) if dm.gap_min is not None else 1.0
+        lam = min(dm.gap_min, 1.0)
         entries.append(
             certification.GapEntry(
                 k, certification.side_length(k, g.D), lam, s_k,
@@ -312,7 +298,7 @@ def cmd_certify(args) -> int:
             + ("" if dm.exhaustive else "  [sampled]")
         )
     seq = certification.GapSequence(entries, D=g.D)
-    cert = certification.certify(seq, phi_min, s_rule=s_rule)
+    cert = certification.certify(seq, phi_min, s_rule=(a, b))
     running = phi_min * cert.base_gap
     for e, f, dm in zip(entries, cert.factors, measurements):
         running *= f

@@ -24,20 +24,9 @@ from ._tensor import (
 )
 from .certification import pair_overlap_norm
 from .errors import AdmissibilityError, DimensionCapError, RegionError
-from .interaction import (
-    Interaction,
-    commutation_degree,
-    layer_coloring,
-    reduce_to_projectors,
-)
+from .interaction import Interaction, layer_coloring, reduce_to_projectors
 from .lattice import EmbeddedGraph, Region, make_region
-from .operators import (
-    SpectralData,
-    embedded_block,
-    embedded_kernel_projector,
-    hamiltonian,
-    spectral_data,
-)
+from .operators import SpectralData, embedded_block, embedded_kernel_projector
 
 # matrix-free product-space cap for the DL path
 DL_DIM_CAP = 2 ** 20
@@ -186,6 +175,11 @@ def dl_operator(decomp: ColumnDecomposition) -> OperatorChain:
     factors = [decomp.projectors[m] for m in decomp.even_indices]
     factors += [decomp.projectors[m] for m in decomp.odd_indices]
     return OperatorChain(factors, decomp.dim)
+
+
+def dl_perp_norm(decomp: ColumnDecomposition, P_perp) -> float:
+    """||DL(t) P_perp||, with P_perp the projector off the kernel of decomp.region."""
+    return matfree_norm(OperatorChain(dl_operator(decomp).factors + [P_perp], decomp.dim))
 
 
 class LayerProduct(OperatorChain):
@@ -560,8 +554,6 @@ class OverlapReport:
     mid: float                 # 3 * dl_perp
     bound: float | None        # refined contraction bound (None if degenerate)
     rhs: float | None          # 3 * bound
-    L: int
-    g_used: int
     admissible: bool
     absorption_a: float | None  # || P_A M_A - P_A ||
     absorption_dl: float | None  # || P_A M_B - P_A DL ||
@@ -580,69 +572,44 @@ class OverlapReport:
 
 
 def overlap_bound_check(
-    phi: Interaction,
-    g: EmbeddedGraph,
+    decomp: ColumnDecomposition,
     pair,
-    t: float,
-    decomp: ColumnDecomposition | None = None,
-    region_solve: SpectralData | None = None,
-    dl_perp: float | None = None,
-    g_comm: int | None = None,
+    g: EmbeddedGraph,
+    region_solve: SpectralData,
+    dl_perp: float,
+    bound: float | None,
 ) -> OverlapReport:
     """Overlap-norm chain: lhs <= 3 ||DL P_AB_perp|| <= 3 * refined bound.
 
-    The second inequality is asserted only when the bound is below 1 (it is
-    vacuous otherwise).  When the pair admits the M_A/M_B regrouping, the
-    absorption identities are verified as well.  A caller that already
-    holds them passes, for pair.Y: decomp, its column decomposition along
-    pair.alpha at this t; region_solve, the solve of its projector-form
-    Hamiltonian with the kernel basis (lambda is the gap clipped to 1);
-    dl_perp, ||DL(t) P_perp|| from these two; and g_comm, the commutation
-    degree of decomp.phi.  Whatever is not passed is computed here.
+    Only lhs (pair_overlap_norm) and the absorption norms depend on the
+    pair; the rest is the region's, and the caller passes it for pair.Y:
+    decomp, its column decomposition along pair.alpha; region_solve, the
+    solve of its projector-form Hamiltonian with the kernel basis; dl_perp,
+    dl_perp_norm of decomp off that kernel; and bound, the refined_dl_bound
+    of the region, None when it is degenerate.  The second inequality is
+    asserted only when the bound is below 1 (it is vacuous otherwise).
+    When the pair admits the M_A/M_B regrouping, the absorption identities
+    are verified as well.
     """
     region = make_region(pair.Y)
-    if decomp is None:
-        decomp = column_decomposition(phi, g, region, t, alpha=pair.alpha)
-    elif (decomp.region, decomp.alpha, decomp.t) != (region, pair.alpha, t):
-        raise ValueError("decomp is not the column decomposition of pair.Y along pair.alpha at t")
-    dl = dl_operator(decomp)
-    dim = decomp.dim
-
-    P_A = embedded_kernel_projector(decomp.phi, pair.A, region, phi.d)
-    P_B = embedded_kernel_projector(decomp.phi, pair.B, region, phi.d)
-    if region_solve is None:
-        region_solve = spectral_data(hamiltonian(decomp.phi, region), with_basis=True)
-    lhs = pair_overlap_norm(phi, pair, region_solve=region_solve, projectors=(P_A, P_B))
-    if dl_perp is None:
-        V, n = region_solve.kernel(), len(region)
-        P_perp = FactoredProjectorBlock(V, tuple(range(n)), n, phi.d, complement=True)
-        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], dim))
-
-    lam_clipped = min(region_solve.gap, 1.0) if region_solve.gap is not None else 1.0
-    L = layer_coloring(decomp.phi).L
-    if g_comm is None:
-        g_comm = commutation_degree(decomp.phi)
-    g_used = max(g_comm, 1)
-    try:
-        bound = refined_dl_bound(t, lam_clipped, L, g_used, g.c_gamma, phi.R)
-    except AdmissibilityError:
-        bound = None
-
-    absorption_a = absorption_dl = None
-    admissible = True
+    if (decomp.region, decomp.alpha) != (region, pair.alpha):
+        raise ValueError("decomp is not the column decomposition of pair.Y along pair.alpha")
+    lhs = pair_overlap_norm(decomp.phi, pair, region_solve)
     try:
         split = ma_mb_split(decomp, pair, g)
     except AdmissibilityError:
-        admissible = False
         split = None
+    absorption_a = absorption_dl = None
     if split is not None:
+        dim = decomp.dim
+        P_A = embedded_kernel_projector(decomp.phi, pair.A, region, decomp.d)
         pa_ma = Difference(
             OperatorChain([P_A] + split.M_A.factors, dim), OperatorChain([P_A], dim)
         )
         absorption_a = matfree_norm(pa_ma)
         pa_mb = Difference(
             OperatorChain([P_A] + split.M_B.factors, dim),
-            OperatorChain([P_A] + dl.factors, dim),
+            OperatorChain([P_A] + dl_operator(decomp).factors, dim),
         )
         absorption_dl = matfree_norm(pa_mb)
 
@@ -652,9 +619,7 @@ def overlap_bound_check(
         mid=3.0 * dl_perp,
         bound=bound,
         rhs=None if bound is None else 3.0 * bound,
-        L=L,
-        g_used=g_used,
-        admissible=admissible,
+        admissible=split is not None,
         absorption_a=absorption_a,
         absorption_dl=absorption_dl,
         lhs_le_mid=bool(lhs <= 3.0 * dl_perp + OVERLAP_CHAIN_TOL),

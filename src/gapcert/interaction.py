@@ -30,8 +30,9 @@ class InteractionTerm:
     """One PSD term with its support region; matrix dim is d^len(support).
 
     A square matrix that is not Hermitian is rejected here; the shape is
-    checked against d by Interaction.  Frozen, so the cached spectrum
-    cannot drift from the matrix.
+    checked against d by check_shape, which Interaction and the region
+    operator call.  Frozen, so the cached spectrum cannot drift from the
+    matrix.
     """
 
     support: Region
@@ -48,6 +49,14 @@ class InteractionTerm:
 
     def local_dim(self, d: int) -> int:
         return d ** len(self.support)
+
+    def check_shape(self, d: int) -> None:
+        """InteractionError unless the matrix is d^len(support) square."""
+        if self.matrix.shape != (self.local_dim(d),) * 2:
+            raise InteractionError(
+                f"term on {self.support}: matrix shape {self.matrix.shape} "
+                f"does not match d^{len(self.support)}"
+            )
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,11 +114,7 @@ class Interaction:
         if self.d < 2:
             raise InteractionError("local dimension must be >= 2")
         for term in self.terms:
-            if term.matrix.shape != (term.local_dim(self.d),) * 2:
-                raise InteractionError(
-                    f"term on {term.support}: matrix shape {term.matrix.shape} "
-                    f"does not match d^{len(term.support)}"
-                )
+            term.check_shape(self.d)
 
     def nonzero_terms(self) -> list[InteractionTerm]:
         return [t for t in self.terms if t.norm > 0]

@@ -47,7 +47,8 @@ class GlobalOperator:
 
     The terms' factor positions are worked out once, when it is made, into
     blocks, the (matrix, positions) pairs of _tensor; a support outside the
-    region is a RegionError.  Its matrix is the canonical CSR of their
+    region is a RegionError, and a matrix not d^len(support) square an
+    InteractionError.  Its matrix is the canonical CSR of their
     embedded sum (embed_sum), built on first read: the region solve reads
     the terms, and a diagonal H is solved from them and never assembled.
     Frozen, and the terms kept as a tuple, so the matrix cannot drift from
@@ -62,6 +63,8 @@ class GlobalOperator:
     def __post_init__(self):
         region = make_region(self.region)
         terms = tuple(self.terms)
+        for term in terms:
+            term.check_shape(self.d)
         object.__setattr__(self, "region", region)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "blocks", tuple((t.matrix, _positions(t.support, region)) for t in terms))

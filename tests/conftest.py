@@ -75,6 +75,30 @@ def singlet_4x4():
     return h
 
 
+def overlap_check(phi, g, pair, t):
+    """overlap_bound_check for pair on the inputs that dl-check builds for
+    pair.Y.  Not an oracle: it goes through the package's own functions."""
+    from gapcert._tensor import FactoredProjectorBlock
+    from gapcert.detectability import (
+        column_decomposition, dl_perp_norm, layer_product, overlap_bound_check, refined_dl_bound,
+    )
+    from gapcert.errors import AdmissibilityError
+    from gapcert.interaction import commutation_degree
+    from gapcert.operators import hamiltonian, spectral_data
+
+    decomp = column_decomposition(phi, g, pair.Y, t, alpha=pair.alpha)
+    sd = spectral_data(hamiltonian(phi, pair.Y, projector_form=True), with_basis=True)
+    n = len(decomp.region)
+    P_perp = FactoredProjectorBlock(sd.kernel(), tuple(range(n)), n, phi.d, complement=True)
+    lam = min(sd.gap, 1.0) if sd.gap is not None else 1.0
+    g_used = max(commutation_degree(decomp.phi), 1)
+    try:
+        bound = refined_dl_bound(t, lam, layer_product(phi, pair.Y).L, g_used, g.c_gamma, phi.R)
+    except AdmissibilityError:
+        bound = None
+    return overlap_bound_check(decomp, pair, g, sd, dl_perp_norm(decomp, P_perp), bound)
+
+
 @pytest.fixture
 def perturbed_gap_ritz_vector(monkeypatch):
     """Every tridiagonal eigenvector of the sparse gap Lanczos 1e-3 off, so

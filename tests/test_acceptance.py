@@ -25,7 +25,6 @@ from gapcert.detectability import (
     check_commuting,
     column_decomposition,
     layer_product,
-    overlap_bound_check,
     smuggle_check,
     standard_dl_check,
 )
@@ -43,7 +42,7 @@ from gapcert.lattice import (
 from gapcert.models import commuting_toy, heisenberg_fm, spin_wave_upper_bound
 from gapcert.operators import hamiltonian, kernel_basis, sandwich_check, spectral_data
 
-from conftest import dense_chain_hamiltonian, dense_gap, singlet_4x4
+from conftest import dense_chain_hamiltonian, dense_gap, overlap_check, singlet_4x4
 
 
 def report(num: int, ok: bool, detail: str, started: float) -> None:
@@ -203,7 +202,7 @@ def test_criterion_7_refined_dl_and_overlap_chain():
         g = chain_graph(n)
         phi = make(g)
         for pair in split_pairs(tuple(range(n)), k, s, g):
-            rep = overlap_bound_check(phi, g, pair, t)
+            rep = overlap_check(phi, g, pair, t)
             tested += 1
             if not rep.lhs_le_mid:
                 violations.append(f"lhs>{rep.mid}")

@@ -67,7 +67,8 @@ class TestPairOverlapNorm:
         g = chain_graph(n)
         phi = heisenberg_fm(g)
         pair = split_pairs(tuple(range(n)), 6, 1, g)[0]
-        value = pair_overlap_norm(phi, pair)
+        sd = spectral_data(hamiltonian(phi, pair.Y, projector_form=True), with_basis=True)
+        value = pair_overlap_norm(phi, pair, sd)
         region = tuple(range(n))
         PA = dense_embed(
             dense_ground_projector(dense_chain_hamiltonian(len(pair.A), singlet_4x4())),
@@ -85,7 +86,8 @@ class TestPairOverlapNorm:
         g = chain_graph(10)
         toy = commuting_toy(g)
         pair = split_pairs(tuple(range(10)), 6, 1, g)[0]
-        assert pair_overlap_norm(toy, pair) <= 1e-12
+        sd = spectral_data(hamiltonian(toy, pair.Y, projector_form=True), with_basis=True)
+        assert pair_overlap_norm(toy, pair, sd) <= 1e-12
 
 
 class TestMeasureDelta:

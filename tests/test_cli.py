@@ -152,6 +152,28 @@ class TestDLCheckCommand:
         payload = json.loads(js.read_text())
         assert payload["overlap_0"]["rhs"] == pytest.approx(3 * payload["refined_bound"], rel=1e-12)
 
+    def test_overlap_row_across_the_axis(self, tmp_path):
+        # on the 2x4 grid the one split at k = 11 runs along axis 1: with
+        # --alpha 0, its row needs its own axis's columns and ||DL P_perp||
+        import json
+
+        payloads = []
+        for alpha in ("0", "1"):
+            js = tmp_path / f"grid24a{alpha}.json"
+            code = run(
+                ["dl-check", "--model", "heisenberg_fm", "--grid", "2x4", "--t", "2",
+                 "--alpha", alpha, "--k-min", "11", "--s", "1", "--out-json", str(js)]
+            )
+            assert code == 0
+            payloads.append(json.loads(js.read_text()))
+        a0, a1 = payloads
+        assert a0["overlap_0"] == a1["overlap_0"]
+        # A and B of 6 sites sharing 4: sqrt((6-4)(6-4) / (6*6))
+        assert abs(a0["overlap_0"]["lhs"] - 1 / 3) <= 1e-12
+        assert all(c["ok"] for p in payloads for c in p["checks"])
+        # the battery's own ||DL P_perp|| would not bound this row's lhs
+        assert a0["dl_perp"] <= 1e-12
+
 
     def test_toy_at_the_dl_cap_allocates_one_full_length_vector(self, tmp_path, capsys):
         # 2^20 = DL_DIM_CAP: the H diagonal (8 MiB) is the one vector of that
@@ -202,6 +224,27 @@ class TestCertifyCommand:
         header, row = csv.read_text().splitlines()
         assert header == "k,l_k,region_size,hilbert_dim,gap,delta_k,factor,running_lower_bound,sampled"
         assert row.endswith(",0")  # every window of scale 6 was tested
+
+    def test_window_without_a_gap_is_an_error(self, monkeypatch, capsys):
+        # lambda_k is read from the windows' gaps: a solve with none is not
+        # replaced by 1, the run stops and names the window
+        import dataclasses
+
+        from gapcert import certification
+
+        solve = certification.spectral_data
+        monkeypatch.setattr(
+            certification, "spectral_data",
+            lambda *a, **kw: dataclasses.replace(solve(*a, **kw), gap=None),
+        )
+        code = run(
+            ["certify", "--model", "commuting_toy", "--length", "13",
+             "--k-min", "6", "--k-max", "6", "--s-rule", "power:1.25"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES["not_certifiable"]
+        assert "certified lower bound" not in captured.out
+        assert "has no gap" in captured.err and "window (0, 1, 2" in captured.err
 
     def test_fm_chain_not_certifiable(self, capsys):
         code = run(

@@ -30,7 +30,7 @@ from gapcert.lattice import SplitPair, chain_graph, make_region, split_pairs
 from gapcert.models import commuting_toy, heisenberg_fm
 from gapcert.operators import hamiltonian, kernel_basis, spectral_data
 
-from conftest import dense_chain_hamiltonian, dense_ground_projector, singlet_4x4
+from conftest import dense_chain_hamiltonian, dense_ground_projector, overlap_check, singlet_4x4
 
 
 def fm_setup(n, t, alpha=0):
@@ -460,7 +460,7 @@ class TestOverlapBound:
         A = make_region(range(0, 6))
         B = make_region(range(7, 14))
         pair = SplitPair(A, B, make_region(list(A) + list(B)), 0, 2, (5.5, 6.5))
-        rep = overlap_bound_check(toy, g, pair, 2)
+        rep = overlap_check(toy, g, pair, 2)
         assert rep.lhs <= 1e-10
         assert rep.lhs_le_mid
 
@@ -468,7 +468,7 @@ class TestOverlapBound:
         g = chain_graph(12)
         phi = heisenberg_fm(g)
         pair = split_pairs(tuple(range(12)), 6, 1, g)[0]
-        rep = overlap_bound_check(phi, g, pair, 2)
+        rep = overlap_check(phi, g, pair, 2)
         assert rep.lhs_le_mid
         assert rep.ok
 
@@ -476,7 +476,7 @@ class TestOverlapBound:
         g = chain_graph(12)
         toy = commuting_toy(g)
         pair = split_pairs(tuple(range(12)), 6, 1, g)[0]
-        rep = overlap_bound_check(toy, g, pair, 2)
+        rep = overlap_check(toy, g, pair, 2)
         assert rep.lhs <= 1e-6
         assert rep.dl_perp <= 1e-10
         assert rep.ok
@@ -490,41 +490,32 @@ class TestOverlapBound:
             make_region(range(0, 19)), make_region(range(1, 20)),
             make_region(range(n)), 0, 18, (1.0, 18.0),
         )
-        rep = overlap_bound_check(toy, g, pair, 2)
+        rep = overlap_check(toy, g, pair, 2)
         assert rep.admissible
         assert rep.absorption_a <= 1e-10
         assert rep.absorption_dl <= 1e-10
         assert rep.ok
-
-    def test_battery_values_give_the_same_chain(self):
-        from gapcert.interaction import commutation_degree
-
-        n, t = 12, 2
-        g = chain_graph(n)
-        phi = heisenberg_fm(g)
-        pair = split_pairs(tuple(range(n)), 6, 1, g)[0]
-        decomp = column_decomposition(phi, g, pair.Y, t, alpha=pair.alpha)
-        sd = spectral_data(hamiltonian(decomp.phi, pair.Y), with_basis=True)
-        m = len(pair.Y)
-        P_perp = FactoredProjectorBlock(sd.kernel(), tuple(range(m)), m, 2, complement=True)
-        dl = dl_operator(decomp)
-        dl_perp = matfree_norm(OperatorChain(dl.factors + [P_perp], decomp.dim))
-        bare = overlap_bound_check(phi, g, pair, t)
-        shared = overlap_bound_check(
-            phi, g, pair, t, decomp=decomp, region_solve=sd, dl_perp=dl_perp,
-            g_comm=commutation_degree(decomp.phi),
-        )
-        for key in ("lhs", "mid", "rhs"):
-            assert getattr(shared, key) == pytest.approx(getattr(bare, key), rel=0, abs=1e-12)
-        assert shared.ok and bare.ok
 
     def test_decomposition_of_another_region_rejected(self):
         g = chain_graph(12)
         phi = heisenberg_fm(g)
         pair = split_pairs(tuple(range(12)), 6, 1, g)[0]
         decomp = column_decomposition(phi, g, tuple(range(11)), 2)
+        sd = spectral_data(hamiltonian(phi, pair.Y, projector_form=True), with_basis=True)
         with pytest.raises(ValueError, match="not the column decomposition"):
-            overlap_bound_check(phi, g, pair, 2, decomp=decomp)
+            overlap_bound_check(decomp, pair, g, sd, 0.0, None)
+
+    def test_decomposition_along_another_axis_rejected(self):
+        from gapcert.lattice import grid_graph
+
+        g = grid_graph(2, 4)
+        phi = heisenberg_fm(g)
+        region = tuple(g.ids)
+        pair = split_pairs(region, 11, 1, g)[0]
+        decomp = column_decomposition(phi, g, region, 2, alpha=1 - pair.alpha)
+        sd = spectral_data(hamiltonian(phi, region, projector_form=True), with_basis=True)
+        with pytest.raises(ValueError, match="not the column decomposition"):
+            overlap_bound_check(decomp, pair, g, sd, 0.0, None)
 
 
 class TestBeyondChains:
@@ -669,25 +660,32 @@ def _json_numbers(value) -> list[float]:
 
 def _check_dl_norms(argv, diagonal, non_adjacent, monkeypatch, tmp_path):
     """Run dl-check and compare ||DL(t)|| and ||DL(t) P_perp|| with the dense norms."""
-    from gapcert import cli
+    from gapcert import cli, detectability
     from gapcert.cli import main
 
     normed = []
     real = cli.matfree_norm
 
-    def recording(op):
-        value = real(op)
-        normed.append((op, value))
-        return value
+    def recording(module):
+        def norm(op):
+            value = real(op)
+            normed.append((module, op, value))
+            return value
 
-    # the battery calls the cli module's matfree_norm for ||DL(t)|| and then
-    # ||DL(t) P_perp||; the detectability checks bind their own
-    monkeypatch.setattr(cli, "matfree_norm", recording)
+        return norm
+
+    # the battery calls the cli module's matfree_norm once, for ||DL(t)||;
+    # the next norm is ||DL(t) P_perp||, from detectability.dl_perp_norm
+    monkeypatch.setattr(cli, "matfree_norm", recording("cli"))
+    monkeypatch.setattr(detectability, "matfree_norm", recording("detectability"))
     js = tmp_path / "dl.json"
     assert main(["dl-check"] + argv + ["--out-json", str(js)]) == 0
     payload = json.loads(js.read_text())
     assert all(c["ok"] for c in payload["checks"])
-    (dl, dl_norm), (dl_p, dl_perp) = normed
+    modules = [m for m, _, _ in normed]
+    assert modules.count("cli") == 1
+    i = modules.index("cli")
+    (_, dl, dl_norm), (_, dl_p, dl_perp) = normed[i:i + 2]
     assert dl_p.factors[:-1] == dl.factors
     assert payload["dl_perp"] == dl_perp
     assert dl.diagonal == dl_p.diagonal == diagonal

@@ -58,6 +58,16 @@ class TestEmbed:
         with pytest.raises(RegionError, match="outside region"):
             embed(term, (0, 1, 2), 2)
 
+    def test_shape_not_d_to_the_support_rejected_when_made(self):
+        # checked when the operator is made, as by Interaction, not first
+        # met in a reshape when the matrix is read
+        term = InteractionTerm((0, 1), np.eye(2))
+        match = r"matrix shape \(2, 2\) does not match d\^2"
+        with pytest.raises(InteractionError, match=match):
+            embed(term, (0, 1, 2), 2)
+        with pytest.raises(InteractionError, match=match):
+            GlobalOperator((0, 1, 2), 2, [InteractionTerm((0,), np.eye(2)), term])
+
     def test_three_body_term_against_dense_oracle(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
